@@ -1,8 +1,10 @@
 #include "fi/campaign.hpp"
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <limits>
+#include <map>
 #include <mutex>
 #include <optional>
 
@@ -267,7 +269,14 @@ CampaignResult run_campaign_range_impl(
   Tracer* tracer =
       config.obs.tracer != nullptr ? config.obs.tracer : &Tracer::global();
 
-  pool.parallel_for(first_trial, last_trial, [&](std::size_t trial) {
+  // Records reach on_trial in trial order: a finished trial waits in
+  // `finished` (under callback_mutex) until every earlier one has been
+  // delivered. Trials are handed out one at a time from `next_trial`, so
+  // only trials finished ahead of a still-running one ever wait there.
+  std::atomic<std::size_t> next_trial{first_trial};
+  std::size_t next_record = first_trial;  // guarded by callback_mutex
+  std::map<std::size_t, TrialRecord> finished;  // guarded by callback_mutex
+  const auto run_trial = [&](std::size_t trial) {
     using TrialClock = std::chrono::steady_clock;
     // Trials are timed for the histogram AND for TrialRecord::trial_ms;
     // the clock reads are nanoseconds against millisecond-scale trials.
@@ -382,7 +391,20 @@ CampaignResult run_campaign_range_impl(
       record.scheme = scheme_display;
       record.trial_ms = elapsed_ms;
       std::lock_guard lock(callback_mutex);
-      on_trial(record);
+      finished.emplace(trial, std::move(record));
+      while (!finished.empty() && finished.begin()->first == next_record) {
+        on_trial(finished.begin()->second);
+        finished.erase(finished.begin());
+        ++next_record;
+      }
+    }
+  };
+  const std::size_t tasks =
+      std::min(std::max<std::size_t>(pool.size(), 1), last_trial - first_trial);
+  pool.parallel_for(0, tasks, [&](std::size_t) {
+    for (std::size_t trial = next_trial++; trial < last_trial;
+         trial = next_trial++) {
+      run_trial(trial);
     }
   });
 

@@ -50,8 +50,8 @@ struct CampaignConfig {
   /// outcomes never depend on it — it is purely a throughput knob.
   std::size_t prefill_chunk = 32;
   /// Pool that trials fan out over (null = process-wide pool). Like
-  /// prefill_chunk, a pure throughput knob: trial partitioning is
-  /// deterministic and each trial is self-contained, so outcomes and
+  /// prefill_chunk, a pure throughput knob: each trial is self-contained
+  /// and records reach the TrialCallback in trial order, so outcomes and
   /// per-trial records are identical at any pool size.
   ThreadPool* pool = nullptr;
   /// Observability sinks. `obs.metrics` receives campaign.* metrics
@@ -167,7 +167,10 @@ struct TrialRecord {
   double trial_ms = 0.0;
 };
 
-/// Called for every finished trial; invocations are serialized.
+/// Called once per trial with its record. Calls are serialized and come in
+/// ascending trial order at any pool size (a trial that finishes early
+/// waits for every earlier one), so a callback can stream records straight
+/// to an ordered log.
 using TrialCallback = std::function<void(const TrialRecord&)>;
 
 /// Runs the campaign for one protection scheme. `offline_bounds` may be an

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <utility>
 
@@ -17,9 +18,10 @@ std::vector<std::size_t> shape2(std::size_t rows, std::size_t cols) {
   return {rows, cols};
 }
 
-/// Inline-execution pool for single-row GEMMs: fanning one row's handful
+/// Inline-execution pool for single-row calls: fanning one row's handful
 /// of column tiles out to workers costs more than it saves at these model
-/// widths, so forward_position stays on the calling thread.
+/// widths, so a one-row forward (and a one-row LM head) stays on the
+/// calling thread.
 ThreadPool& inline_pool() {
   static ThreadPool pool(1);
   return pool;
@@ -87,18 +89,45 @@ void TransformerLM::apply_norm_row(const NormWeights& nw,
   }
 }
 
-void TransformerLM::lm_head_row(Workspace& ws, std::span<float> logits) const {
-  // The LM head is never chunked, quantized or hooked.
-  linear_forward_span_packed(ws.final_h, 1, packed_.lm_head, ws.logits,
-                             inline_pool());
-  const auto row = ws.logits.row(0);
-  std::copy(row.begin(), row.end(), logits.begin());
-}
+/// One segment of a forward call: `tokens` at positions [pos0, pos0 + n)
+/// of one sequence, which owns `cache`, `hooks` and `logits`. A segment's
+/// rows sit contiguously in the call's activation matrix, segments in call
+/// order.
+struct RowSegment {
+  std::span<const int> tokens;
+  std::size_t pos0 = 0;
+  KvCache* cache = nullptr;
+  const HookChain* hooks = nullptr;
+  bool first_token_phase = false;
+  std::span<float> logits;  ///< LM head of the last row; empty = skipped
+};
+
+/// State of one forward_rows call, shared by its attention, MLP and
+/// linear helpers.
+struct ForwardPass {
+  std::span<const RowSegment> segs;
+  std::size_t rows = 0;  ///< total over segs
+  const ModelConfig& config;
+  const ExecConfig& exec;
+  ThreadPool& pool;  ///< inline for a one-row call
+  const PackedDecodeWeights& packed;
+  Workspace& ws;
+};
 
 namespace {
 
 inline void maybe_quantize(std::span<float> v, bool fp16) {
   if (fp16) quantize_span_f16(v);
+}
+
+/// Calls fn(segment, i, r) for row i of each segment, r counting rows
+/// across the call.
+template <typename Fn>
+void for_each_row(std::span<const RowSegment> segs, Fn&& fn) {
+  std::size_t r = 0;
+  for (const RowSegment& s : segs) {
+    for (std::size_t i = 0; i < s.tokens.size(); ++i, ++r) fn(s, i, r);
+  }
 }
 
 /// Fusion plan for one hook dispatch: whether any store-epilogue work runs
@@ -131,22 +160,12 @@ inline FusedPlan plan_output_fusion(const HookChain& hooks,
   return plan;
 }
 
-/// Applies a negotiated plan to an already-computed span (the sites whose
-/// producer is not a fused GEMM: single-row linears, activation outputs,
-/// batched decode rows) in one sweep, then completes hook dispatch. With
-/// no active plan this is the legacy quantize + full dispatch.
-inline void finish_output(std::span<float> values, const HookContext& ctx,
-                          const HookChain& hooks, const ExecConfig& exec) {
-  const FusedPlan plan = plan_output_fusion(hooks, ctx, exec);
-  if (!plan.active) {
-    maybe_quantize(values, exec.fp16);
-    hooks.dispatch(ctx, values);
-    return;
-  }
-  EpilogueTally tally;
-  active_kernel_ops().epilogue_span(
-      values.data(), values.size(), 0, plan.epi,
-      plan.provider != nullptr ? &tally : nullptr);
+/// Hook dispatch of a span whose planned epilogue already ran: the
+/// provider absorbs its fused work and the rest of the chain runs, or,
+/// with no provider, the whole chain runs.
+inline void dispatch_planned(const FusedPlan& plan, const EpilogueTally& tally,
+                             const HookContext& ctx, const HookChain& hooks,
+                             std::span<float> values) {
   if (plan.provider != nullptr) {
     plan.provider->absorb_fused(ctx, values, plan.epi, tally);
     hooks.dispatch_tail(ctx, values);
@@ -155,132 +174,98 @@ inline void finish_output(std::span<float> values, const HookContext& ctx,
   }
 }
 
-/// Packed GEMM over the first `rows` rows of `in` plus the site's output
-/// finish: FP16 quantization (elementwise, so identical to per-row
-/// quantization) and ONE hook dispatch carrying the whole [rows x width]
-/// span. With an active fusion plan the quantize/protect sweep runs inside
-/// the GEMM store epilogue instead of as separate passes.
-inline void run_packed(const PackedLinear& pl, const Tensor& in,
-                       std::size_t rows, Tensor& out, const HookContext& ctx,
-                       const HookChain& hooks, const ExecConfig& exec,
-                       ThreadPool& pool) {
+/// Applies a negotiated plan to an already-computed span in one sweep, then
+/// completes hook dispatch. With no active plan this is the legacy quantize
+/// + full dispatch.
+inline void finish_output(std::span<float> values, const HookContext& ctx,
+                          const HookChain& hooks, const ExecConfig& exec) {
   const FusedPlan plan = plan_output_fusion(hooks, ctx, exec);
   EpilogueTally tally;
-  linear_forward_span_packed(in, rows, pl, out, pool,
+  if (plan.active) {
+    active_kernel_ops().epilogue_span(
+        values.data(), values.size(), 0, plan.epi,
+        plan.provider != nullptr ? &tally : nullptr);
+  } else {
+    maybe_quantize(values, exec.fp16);
+  }
+  dispatch_planned(plan, tally, ctx, hooks, values);
+}
+
+/// The hook context of segment `s`'s rows at `site`.
+inline HookContext segment_context(const RowSegment& s, LayerSite site,
+                                   std::size_t width) {
+  return HookContext{site, s.pos0, s.first_token_phase, s.tokens.size(),
+                     width};
+}
+
+/// Output finish of `out`'s first p.rows rows, one dispatch per segment in
+/// segment order, each carrying that segment's [rows x width] span.
+void finish_segments(const ForwardPass& p, Tensor& out, LayerSite site) {
+  const std::size_t width = out.dim(1);
+  float* row0 = out.data();
+  for (const RowSegment& s : p.segs) {
+    const std::size_t n = s.tokens.size() * width;
+    finish_output({row0, n}, segment_context(s, site, width), *s.hooks,
+                  p.exec);
+    row0 += n;
+  }
+}
+
+/// One linear layer over every row of the call as ONE GEMM, then the
+/// site's output finish per segment. A single segment fuses the
+/// quantize/protect epilogue into the GEMM store; several segments carry
+/// independent hook chains, so each is swept after the GEMM instead.
+/// Per-element accumulation order never depends on the row count.
+void run_linear(const ForwardPass& p, const LinearWeights& lw,
+                const PackedLinear& pl, const Tensor& in, Tensor& out,
+                int block, LayerKind kind) {
+  const LayerSite site{block, kind};
+  if (p.exec.chunked_accum || p.segs.size() > 1) {
+    if (p.exec.chunked_accum) {
+      linear_forward_span(in, p.rows, lw.w, lw.bias_span(), out,
+                          /*chunked_accum=*/true, p.pool);
+    } else {
+      linear_forward_span_packed(in, p.rows, pl, out, p.pool);
+    }
+    finish_segments(p, out, site);
+    return;
+  }
+  const RowSegment& s = p.segs[0];
+  const HookContext ctx = segment_context(s, site, out.dim(1));
+  const FusedPlan plan = plan_output_fusion(*s.hooks, ctx, p.exec);
+  EpilogueTally tally;
+  linear_forward_span_packed(in, p.rows, pl, out, p.pool,
                              plan.active ? &plan.epi : nullptr,
                              plan.provider != nullptr ? &tally : nullptr);
-  std::span<float> view{out.data(), rows * out.dim(1)};
-  if (!plan.active) {
-    maybe_quantize(view, exec.fp16);
-    hooks.dispatch(ctx, view);
-  } else if (plan.provider != nullptr) {
-    plan.provider->absorb_fused(ctx, view, plan.epi, tally);
-    hooks.dispatch_tail(ctx, view);
-  } else {
-    hooks.dispatch(ctx, view);
-  }
+  const std::span<float> view{out.data(), p.rows * out.dim(1)};
+  if (!plan.active) maybe_quantize(view, p.exec.fp16);
+  dispatch_planned(plan, tally, ctx, *s.hooks, view);
 }
 
-/// One position through one linear layer (row 0 of `in` -> row 0 of
-/// `out`): a 1-row packed GEMM, or the chunked-accumulation reference.
-inline void run_linear(const LinearWeights& lw, const PackedLinear& pl,
-                       const Tensor& in, Tensor& out, const ExecConfig& exec,
-                       const HookChain& hooks, int block, LayerKind kind,
-                       std::size_t pos, bool first_token) {
-  const HookContext ctx{LayerSite{block, kind}, pos, first_token};
-  if (exec.chunked_accum) {
-    linear_forward_row_chunked(in.row(0), lw.w, lw.bias_span(), out.row(0));
-    finish_output(out.row(0), ctx, hooks, exec);
-    return;
-  }
-  run_packed(pl, in, 1, out, ctx, hooks, exec, inline_pool());
-}
-
-/// Blocked counterpart of run_linear: GEMM over the first `rows` rows of
-/// `in` and ONE hook dispatch carrying the whole [rows x width] span.
-/// Per-element accumulation order matches run_linear.
-inline void run_linear_span(const LinearWeights& lw, const PackedLinear& pl,
-                            const Tensor& in, std::size_t rows, Tensor& out,
-                            const ExecConfig& exec, ThreadPool& pool,
-                            const HookChain& hooks, int block, LayerKind kind,
-                            std::size_t pos0, bool first_token) {
-  const HookContext ctx{LayerSite{block, kind}, pos0, first_token, rows,
-                        out.dim(1)};
-  if (exec.chunked_accum) {
-    linear_forward_span(in, rows, lw.w, lw.bias_span(), out,
-                        /*chunked_accum=*/true, pool);
-    std::span<float> view{out.data(), rows * out.dim(1)};
-    maybe_quantize(view, exec.fp16);
-    hooks.dispatch(ctx, view);
-    return;
-  }
-  run_packed(pl, in, rows, out, ctx, hooks, exec, pool);
-}
-
-/// Cross-sequence counterpart of run_linear: one GEMM over the B slot rows,
-/// then per-row quantization and a per-slot single-position hook dispatch —
-/// each slot's chain sees exactly the context run_linear would have built
-/// for it. Decode never runs in the first-token phase. Slots carry
-/// independent hook chains, so fusion is per row (a one-sweep epilogue
-/// after the GEMM) rather than inside the shared GEMM store.
-inline void run_linear_batch(const LinearWeights& lw, const PackedLinear& pl,
-                             const Tensor& in, std::span<DecodeSlot> slots,
-                             Tensor& out, const ExecConfig& exec,
-                             ThreadPool& pool, int block, LayerKind kind) {
-  const std::size_t rows = slots.size();
-  if (exec.chunked_accum) {
-    linear_forward_span(in, rows, lw.w, lw.bias_span(), out,
-                        /*chunked_accum=*/true, pool);
-  } else {
-    linear_forward_span_packed(in, rows, pl, out, pool);
-  }
-  for (std::size_t r = 0; r < rows; ++r) {
-    HookContext ctx{LayerSite{block, kind}, slots[r].pos,
-                    /*first_token_phase=*/false};
-    finish_output(out.row(r), ctx, *slots[r].hooks, exec);
-  }
-}
-
-}  // namespace
-
-void TransformerLM::attention(const BlockWeights& blk, std::size_t block_idx,
-                              std::size_t pos, KvCache& cache,
-                              const HookChain& hooks, const ExecConfig& exec,
-                              bool first_token, Workspace& ws) const {
-  const bool fp16 = exec.fp16;
-  const int b = static_cast<int>(block_idx);
-  const PackedDecodeWeights::Block& pb = packed_.blocks[block_idx];
-  run_linear(blk.q, pb.q, ws.h, ws.q, exec, hooks, b, LayerKind::kQProj, pos,
-             first_token);
-  run_linear(blk.k, pb.k, ws.h, ws.k, exec, hooks, b, LayerKind::kKProj, pos,
-             first_token);
-  run_linear(blk.v, pb.v, ws.h, ws.v, exec, hooks, b, LayerKind::kVProj, pos,
-             first_token);
-
-  const std::size_t n_heads = config_.n_heads;
-  const std::size_t head_dim = config_.head_dim();
-  if (config_.position == PositionKind::kRotary) {
-    rope_apply(ws.q.row(0), n_heads, head_dim, pos, config_.rope_theta);
-    rope_apply(ws.k.row(0), n_heads, head_dim, pos, config_.rope_theta);
-    maybe_quantize(ws.q.row(0), fp16);
-    maybe_quantize(ws.k.row(0), fp16);
-  }
-
-  cache.store(block_idx, pos, ws.k.row(0), ws.v.row(0));
-
-  // Scaled dot-product attention over positions [0, pos].
+/// Causal attention of call row `r` over its own sequence's cache
+/// positions [0, pos]. The loop order is fixed, so the row comes out the
+/// same whichever task computes it.
+void attend_row(const ForwardPass& p, std::size_t block, std::size_t r) {
+  std::size_t i = r;
+  const RowSegment* s = p.segs.data();
+  while (i >= s->tokens.size()) i -= (s++)->tokens.size();
+  const KvCache& cache = *s->cache;
+  const std::size_t len = s->pos0 + i + 1;
+  const std::size_t n_heads = p.config.n_heads;
+  const std::size_t head_dim = p.config.head_dim();
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  const std::size_t len = pos + 1;
-  auto out = ws.attn_out.row(0);
+  const bool fp16 = p.exec.fp16;
+  Workspace& ws = p.ws;
+  auto out = ws.attn_out.row(r);
   std::fill(out.begin(), out.end(), 0.0f);
   for (std::size_t hh = 0; hh < n_heads; ++hh) {
     const std::size_t off = hh * head_dim;
-    auto scores = ws.scores.row(0).subspan(0, len);
-    const float* qh = ws.q.row(0).data() + off;
+    auto scores = ws.scores.row(r).subspan(0, len);
+    const float* qh = ws.q.row(r).data() + off;
     for (std::size_t j = 0; j < len; ++j) {
-      const float* kh = cache.key(block_idx, j).data() + off;
+      const float* kh = cache.key(block, j).data() + off;
       float dot = 0.0f;
-      for (std::size_t i = 0; i < head_dim; ++i) dot += qh[i] * kh[i];
+      for (std::size_t d = 0; d < head_dim; ++d) dot += qh[d] * kh[d];
       scores[j] = dot * scale;
     }
     maybe_quantize(scores, fp16);
@@ -288,60 +273,176 @@ void TransformerLM::attention(const BlockWeights& blk, std::size_t block_idx,
     maybe_quantize(scores, fp16);
     float* oh = out.data() + off;
     for (std::size_t j = 0; j < len; ++j) {
-      const float p = scores[j];
-      if (p == 0.0f) continue;
-      const float* vh = cache.value(block_idx, j).data() + off;
-      for (std::size_t i = 0; i < head_dim; ++i) oh[i] += p * vh[i];
+      const float pj = scores[j];
+      if (pj == 0.0f) continue;
+      const float* vh = cache.value(block, j).data() + off;
+      for (std::size_t d = 0; d < head_dim; ++d) oh[d] += pj * vh[d];
     }
   }
   maybe_quantize(out, fp16);
-
-  run_linear(blk.o, pb.o, ws.attn_out, ws.o, exec, hooks, b, LayerKind::kOutProj,
-             pos, first_token);
 }
 
-void TransformerLM::mlp(const BlockWeights& blk, std::size_t block_idx,
-                        const Tensor& input, const HookChain& hooks,
-                        const ExecConfig& exec, bool first_token,
-                        Workspace& ws) const {
-  const bool fp16 = exec.fp16;
-  const int b = static_cast<int>(block_idx);
-  const PackedDecodeWeights::Block& pb = packed_.blocks[block_idx];
-  const bool llama = config_.arch == ArchFamily::kLlama;
-  // `pos` only matters for hook context; reuse the attention position via
-  // ws.scores? Instead we thread pos through ws: simplest is to record it.
-  const std::size_t pos = ws.current_pos;
+}  // namespace
 
-  if (llama) {
-    run_linear(blk.fc1, pb.fc1, input, ws.f1, exec, hooks, b, LayerKind::kGateProj,
-               pos, first_token);
-    run_linear(blk.up, pb.up, input, ws.f_up, exec, hooks, b, LayerKind::kUpProj,
-               pos, first_token);
-    std::copy(ws.f1.row(0).begin(), ws.f1.row(0).end(), ws.act.row(0).begin());
-    silu(ws.act.row(0));
-    finish_output(ws.act.row(0),
-                  HookContext{LayerSite{b, LayerKind::kMlpAct}, pos,
-                              first_token},
-                  hooks, exec);
-    mul_inplace(ws.act.row(0), ws.f_up.row(0));
-    maybe_quantize(ws.act.row(0), fp16);
-    run_linear(blk.fc2, pb.fc2, ws.act, ws.f2, exec, hooks, b, LayerKind::kDownProj,
-               pos, first_token);
-  } else {
-    run_linear(blk.fc1, pb.fc1, input, ws.f1, exec, hooks, b, LayerKind::kFc1, pos,
-               first_token);
-    std::copy(ws.f1.row(0).begin(), ws.f1.row(0).end(), ws.act.row(0).begin());
-    if (config_.activation == Activation::kRelu) {
-      relu(ws.act.row(0));
-    } else {
-      gelu(ws.act.row(0));
+void TransformerLM::attention(const ForwardPass& p,
+                              std::size_t block_idx) const {
+  const BlockWeights& blk = weights_.blocks[block_idx];
+  const PackedDecodeWeights::Block& pb = p.packed.blocks[block_idx];
+  const int b = static_cast<int>(block_idx);
+  Workspace& ws = p.ws;
+  run_linear(p, blk.q, pb.q, ws.h, ws.q, b, LayerKind::kQProj);
+  run_linear(p, blk.k, pb.k, ws.h, ws.k, b, LayerKind::kKProj);
+  run_linear(p, blk.v, pb.v, ws.h, ws.v, b, LayerKind::kVProj);
+
+  // Every row's K/V lands in its cache before any attention row runs: a
+  // prefill row attends over earlier rows of its own segment. Hooks have
+  // already run, so the stored values are exactly what a one-row call
+  // stores for that position.
+  const bool rotary = config_.position == PositionKind::kRotary;
+  for_each_row(p.segs, [&](const RowSegment& s, std::size_t i,
+                           std::size_t r) {
+    const std::size_t pos = s.pos0 + i;
+    if (rotary) {
+      rope_apply(ws.q.row(r), config_.n_heads, config_.head_dim(), pos,
+                 config_.rope_theta);
+      rope_apply(ws.k.row(r), config_.n_heads, config_.head_dim(), pos,
+                 config_.rope_theta);
+      maybe_quantize(ws.q.row(r), p.exec.fp16);
+      maybe_quantize(ws.k.row(r), p.exec.fp16);
     }
-    finish_output(ws.act.row(0),
-                  HookContext{LayerSite{b, LayerKind::kMlpAct}, pos,
-                              first_token},
-                  hooks, exec);
-    run_linear(blk.fc2, pb.fc2, ws.act, ws.f2, exec, hooks, b, LayerKind::kFc2, pos,
-               first_token);
+    s.cache->store(block_idx, pos, ws.k.row(r), ws.v.row(r));
+  });
+
+  // One independent task per row; each reads only its own sequence's cache.
+  const auto attend = [&p, block_idx](std::size_t r) {
+    attend_row(p, block_idx, r);
+  };
+  p.pool.parallel_for(0, p.rows, std::ref(attend));
+
+  run_linear(p, blk.o, pb.o, ws.attn_out, ws.o, b, LayerKind::kOutProj);
+}
+
+void TransformerLM::mlp(const ForwardPass& p, std::size_t block_idx) const {
+  const BlockWeights& blk = weights_.blocks[block_idx];
+  const PackedDecodeWeights::Block& pb = p.packed.blocks[block_idx];
+  const int b = static_cast<int>(block_idx);
+  const bool llama = config_.arch == ArchFamily::kLlama;
+  Workspace& ws = p.ws;
+  const std::size_t n = p.rows * config_.d_ff;
+  const std::span<float> act{ws.act.data(), n};
+
+  run_linear(p, blk.fc1, pb.fc1, ws.h, ws.f1, b,
+             llama ? LayerKind::kGateProj : LayerKind::kFc1);
+  if (llama) {
+    run_linear(p, blk.up, pb.up, ws.h, ws.f_up, b, LayerKind::kUpProj);
+  }
+  std::copy_n(ws.f1.data(), n, ws.act.data());
+  if (llama) {
+    silu(act);
+  } else if (config_.activation == Activation::kRelu) {
+    relu(act);
+  } else {
+    gelu(act);
+  }
+  finish_segments(p, ws.act, LayerSite{b, LayerKind::kMlpAct});
+  if (llama) {
+    mul_inplace(act, {ws.f_up.data(), n});
+    maybe_quantize(act, p.exec.fp16);
+  }
+  run_linear(p, blk.fc2, pb.fc2, ws.act, ws.f2, b,
+             llama ? LayerKind::kDownProj : LayerKind::kFc2);
+}
+
+void TransformerLM::forward_rows(std::span<const RowSegment> segs,
+                                 const ExecConfig& exec, Workspace& ws,
+                                 const PackedDecodeWeights& packed) const {
+  const bool fp16 = exec.fp16;
+  std::size_t rows = 0;
+  for (const RowSegment& s : segs) {
+    FT2_CHECK(!s.tokens.empty());
+    FT2_CHECK(s.cache != nullptr && s.hooks != nullptr);
+    FT2_CHECK_MSG(s.cache->length() == s.pos0,
+                  "cache length " << s.cache->length() << " != pos "
+                                  << s.pos0);
+    FT2_CHECK(s.pos0 + s.tokens.size() <= config_.max_seq);
+    FT2_CHECK(s.logits.empty() || s.logits.size() == config_.vocab_size);
+    for (const int token : s.tokens) {
+      FT2_CHECK(token >= 0 &&
+                static_cast<std::size_t>(token) < config_.vocab_size);
+    }
+    rows += s.tokens.size();
+  }
+  ws.ensure_chunk_capacity(config_, rows);
+  ThreadPool& pool = rows == 1              ? inline_pool()
+                     : exec.pool != nullptr ? *exec.pool
+                                            : ThreadPool::global();
+  const ForwardPass p{segs, rows, config_, exec, pool, packed, ws};
+
+  // Embedding (+ learned positions for OPT).
+  for_each_row(segs, [&](const RowSegment& s, std::size_t i, std::size_t r) {
+    auto x = ws.x.row(r);
+    auto emb = weights_.tok_emb.row(static_cast<std::size_t>(s.tokens[i]));
+    std::copy(emb.begin(), emb.end(), x.begin());
+    if (config_.position == PositionKind::kLearned) {
+      add_inplace(x, weights_.pos_emb.row(s.pos0 + i));
+    }
+    maybe_quantize(x, fp16);
+  });
+
+  const auto norm_rows = [&](const NormWeights& nw) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      apply_norm_row(nw, ws.x.row(r), ws.h.row(r));
+      maybe_quantize(ws.h.row(r), fp16);
+    }
+  };
+  const auto add_rows = [&](const Tensor& y) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      add_inplace(ws.x.row(r), y.row(r));
+      maybe_quantize(ws.x.row(r), fp16);
+    }
+  };
+  for (std::size_t bi = 0; bi < config_.n_blocks; ++bi) {
+    const auto& blk = weights_.blocks[bi];
+    norm_rows(blk.norm1);
+    attention(p, bi);
+    if (config_.parallel_block) {
+      // GPT-J: MLP reads the same normed input; single residual add.
+      mlp(p, bi);
+      for (std::size_t r = 0; r < rows; ++r) {
+        add_inplace(ws.x.row(r), ws.o.row(r));
+        add_inplace(ws.x.row(r), ws.f2.row(r));
+        maybe_quantize(ws.x.row(r), fp16);
+      }
+    } else {
+      add_rows(ws.o);
+      norm_rows(blk.norm2);
+      mlp(p, bi);
+      add_rows(ws.f2);
+    }
+  }
+  for (const RowSegment& s : segs) s.cache->advance(s.tokens.size());
+
+  // LM head, only for the last row of each segment that asks for logits
+  // (intermediate prefill logits are never observed). It is never chunked,
+  // quantized or hooked; its rows are gathered into one GEMM.
+  std::size_t heads = 0;
+  std::size_t last = 0;
+  for (const RowSegment& s : segs) {
+    last += s.tokens.size();
+    if (s.logits.empty()) continue;
+    apply_norm_row(weights_.final_norm, ws.x.row(last - 1),
+                   ws.final_h.row(heads));
+    maybe_quantize(ws.final_h.row(heads), fp16);
+    ++heads;
+  }
+  if (heads == 0) return;
+  linear_forward_span_packed(ws.final_h, heads, packed.lm_head, ws.logits,
+                             heads == 1 ? inline_pool() : pool);
+  std::size_t h = 0;
+  for (const RowSegment& s : segs) {
+    if (s.logits.empty()) continue;
+    const auto row = ws.logits.row(h++);
+    std::copy(row.begin(), row.end(), s.logits.begin());
   }
 }
 
@@ -350,168 +451,10 @@ void TransformerLM::forward_position(int token, std::size_t pos,
                                      const ExecConfig& exec,
                                      bool first_token_phase, Workspace& ws,
                                      std::span<float> logits) const {
-  const bool fp16 = exec.fp16;
-  FT2_CHECK_MSG(cache.length() == pos,
-                "cache length " << cache.length() << " != pos " << pos);
-  FT2_CHECK(pos < config_.max_seq);
-  FT2_CHECK(token >= 0 &&
-            static_cast<std::size_t>(token) < config_.vocab_size);
   FT2_CHECK(logits.size() == config_.vocab_size);
-  ws.current_pos = pos;
-
-  // Embedding (+ learned positions for OPT).
-  auto x = ws.x.row(0);
-  auto emb = weights_.tok_emb.row(static_cast<std::size_t>(token));
-  std::copy(emb.begin(), emb.end(), x.begin());
-  if (config_.position == PositionKind::kLearned) {
-    add_inplace(x, weights_.pos_emb.row(pos));
-  }
-  maybe_quantize(x, fp16);
-
-  for (std::size_t bi = 0; bi < config_.n_blocks; ++bi) {
-    const auto& blk = weights_.blocks[bi];
-    apply_norm_row(blk.norm1, ws.x.row(0), ws.h.row(0));
-    maybe_quantize(ws.h.row(0), fp16);
-
-    attention(blk, bi, pos, cache, hooks, exec, first_token_phase, ws);
-
-    if (config_.parallel_block) {
-      // GPT-J: MLP reads the same normed input; single residual add.
-      mlp(blk, bi, ws.h, hooks, exec, first_token_phase, ws);
-      add_inplace(x, ws.o.row(0));
-      add_inplace(x, ws.f2.row(0));
-      maybe_quantize(x, fp16);
-    } else {
-      add_inplace(x, ws.o.row(0));
-      maybe_quantize(x, fp16);
-      apply_norm_row(blk.norm2, ws.x.row(0), ws.h.row(0));
-      maybe_quantize(ws.h.row(0), fp16);
-      mlp(blk, bi, ws.h, hooks, exec, first_token_phase, ws);
-      add_inplace(x, ws.f2.row(0));
-      maybe_quantize(x, fp16);
-    }
-  }
-  cache.advance();
-
-  apply_norm_row(weights_.final_norm, ws.x.row(0), ws.final_h.row(0));
-  maybe_quantize(ws.final_h.row(0), fp16);
-  lm_head_row(ws, logits);
-}
-
-void TransformerLM::attention_span(const BlockWeights& blk,
-                                   std::size_t block_idx, std::size_t pos0,
-                                   std::size_t n, KvCache& cache,
-                                   const HookChain& hooks,
-                                   const ExecConfig& exec, bool first_token,
-                                   Workspace& ws, ThreadPool& pool) const {
-  const bool fp16 = exec.fp16;
-  const int b = static_cast<int>(block_idx);
-  const PackedDecodeWeights::Block& pb = packed_.blocks[block_idx];
-  run_linear_span(blk.q, pb.q, ws.h, n, ws.q, exec, pool, hooks, b,
-                  LayerKind::kQProj, pos0, first_token);
-  run_linear_span(blk.k, pb.k, ws.h, n, ws.k, exec, pool, hooks, b,
-                  LayerKind::kKProj, pos0, first_token);
-  run_linear_span(blk.v, pb.v, ws.h, n, ws.v, exec, pool, hooks, b,
-                  LayerKind::kVProj, pos0, first_token);
-
-  const std::size_t n_heads = config_.n_heads;
-  const std::size_t head_dim = config_.head_dim();
-  if (config_.position == PositionKind::kRotary) {
-    for (std::size_t r = 0; r < n; ++r) {
-      rope_apply(ws.q.row(r), n_heads, head_dim, pos0 + r, config_.rope_theta);
-      rope_apply(ws.k.row(r), n_heads, head_dim, pos0 + r, config_.rope_theta);
-      maybe_quantize(ws.q.row(r), fp16);
-      maybe_quantize(ws.k.row(r), fp16);
-    }
-  }
-
-  // All of the chunk's K/V lands in the cache before any attention row runs:
-  // row r attends over [0, pos0 + r], which includes earlier chunk rows.
-  // Hooks already ran (above), so the stored values match the sequential
-  // path, where each position's K/V is hooked, roped and stored before the
-  // next position executes.
-  for (std::size_t r = 0; r < n; ++r) {
-    cache.store(block_idx, pos0 + r, ws.k.row(r), ws.v.row(r));
-  }
-
-  // Causal attention, one independent task per chunk row (fixed loop order
-  // inside a row keeps it bit-exact with the sequential path).
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  pool.parallel_for(0, n, [&](std::size_t r) {
-    const std::size_t len = pos0 + r + 1;
-    auto out = ws.attn_out.row(r);
-    std::fill(out.begin(), out.end(), 0.0f);
-    for (std::size_t hh = 0; hh < n_heads; ++hh) {
-      const std::size_t off = hh * head_dim;
-      auto scores = ws.scores.row(r).subspan(0, len);
-      const float* qh = ws.q.row(r).data() + off;
-      for (std::size_t j = 0; j < len; ++j) {
-        const float* kh = cache.key(block_idx, j).data() + off;
-        float dot = 0.0f;
-        for (std::size_t i = 0; i < head_dim; ++i) dot += qh[i] * kh[i];
-        scores[j] = dot * scale;
-      }
-      maybe_quantize(scores, fp16);
-      softmax(scores);
-      maybe_quantize(scores, fp16);
-      float* oh = out.data() + off;
-      for (std::size_t j = 0; j < len; ++j) {
-        const float p = scores[j];
-        if (p == 0.0f) continue;
-        const float* vh = cache.value(block_idx, j).data() + off;
-        for (std::size_t i = 0; i < head_dim; ++i) oh[i] += p * vh[i];
-      }
-    }
-    maybe_quantize(out, fp16);
-  });
-
-  run_linear_span(blk.o, pb.o, ws.attn_out, n, ws.o, exec, pool, hooks, b,
-                  LayerKind::kOutProj, pos0, first_token);
-}
-
-void TransformerLM::mlp_span(const BlockWeights& blk, std::size_t block_idx,
-                             const Tensor& input, std::size_t pos0,
-                             std::size_t n, const HookChain& hooks,
-                             const ExecConfig& exec, bool first_token,
-                             Workspace& ws, ThreadPool& pool) const {
-  const bool fp16 = exec.fp16;
-  const int b = static_cast<int>(block_idx);
-  const PackedDecodeWeights::Block& pb = packed_.blocks[block_idx];
-  const bool llama = config_.arch == ArchFamily::kLlama;
-  const std::size_t d_ff = config_.d_ff;
-  std::span<float> act_view{ws.act.data(), n * d_ff};
-
-  if (llama) {
-    run_linear_span(blk.fc1, pb.fc1, input, n, ws.f1, exec, pool, hooks, b,
-                    LayerKind::kGateProj, pos0, first_token);
-    run_linear_span(blk.up, pb.up, input, n, ws.f_up, exec, pool, hooks, b,
-                    LayerKind::kUpProj, pos0, first_token);
-    std::copy_n(ws.f1.data(), n * d_ff, ws.act.data());
-    silu(act_view);
-    finish_output(act_view,
-                  HookContext{LayerSite{b, LayerKind::kMlpAct}, pos0,
-                              first_token, n, d_ff},
-                  hooks, exec);
-    mul_inplace(act_view, {ws.f_up.data(), n * d_ff});
-    maybe_quantize(act_view, fp16);
-    run_linear_span(blk.fc2, pb.fc2, ws.act, n, ws.f2, exec, pool, hooks, b,
-                    LayerKind::kDownProj, pos0, first_token);
-  } else {
-    run_linear_span(blk.fc1, pb.fc1, input, n, ws.f1, exec, pool, hooks, b,
-                    LayerKind::kFc1, pos0, first_token);
-    std::copy_n(ws.f1.data(), n * d_ff, ws.act.data());
-    if (config_.activation == Activation::kRelu) {
-      relu(act_view);
-    } else {
-      gelu(act_view);
-    }
-    finish_output(act_view,
-                  HookContext{LayerSite{b, LayerKind::kMlpAct}, pos0,
-                              first_token, n, d_ff},
-                  hooks, exec);
-    run_linear_span(blk.fc2, pb.fc2, ws.act, n, ws.f2, exec, pool, hooks, b,
-                    LayerKind::kFc2, pos0, first_token);
-  }
+  const RowSegment seg{{&token, 1}, pos, &cache, &hooks, first_token_phase,
+                       logits};
+  forward_rows({&seg, 1}, exec, ws, packed_);
 }
 
 void TransformerLM::forward_span(std::span<const int> tokens, std::size_t pos0,
@@ -519,279 +462,26 @@ void TransformerLM::forward_span(std::span<const int> tokens, std::size_t pos0,
                                  const ExecConfig& exec,
                                  bool first_token_phase, Workspace& ws,
                                  std::span<float> logits) const {
-  const std::size_t n = tokens.size();
-  const bool fp16 = exec.fp16;
-  FT2_CHECK(n > 0);
-  FT2_CHECK_MSG(cache.length() == pos0,
-                "cache length " << cache.length() << " != pos0 " << pos0);
-  FT2_CHECK(pos0 + n <= config_.max_seq);
-  FT2_CHECK(logits.empty() || logits.size() == config_.vocab_size);
-  ws.ensure_chunk_capacity(config_, n);
-  ws.current_pos = pos0;
-  ThreadPool& pool = exec.pool != nullptr ? *exec.pool : ThreadPool::global();
-
-  for (std::size_t r = 0; r < n; ++r) {
-    const int token = tokens[r];
-    FT2_CHECK(token >= 0 &&
-              static_cast<std::size_t>(token) < config_.vocab_size);
-    auto x = ws.x.row(r);
-    auto emb = weights_.tok_emb.row(static_cast<std::size_t>(token));
-    std::copy(emb.begin(), emb.end(), x.begin());
-    if (config_.position == PositionKind::kLearned) {
-      add_inplace(x, weights_.pos_emb.row(pos0 + r));
-    }
-    maybe_quantize(x, fp16);
-  }
-
-  for (std::size_t bi = 0; bi < config_.n_blocks; ++bi) {
-    const auto& blk = weights_.blocks[bi];
-    for (std::size_t r = 0; r < n; ++r) {
-      apply_norm_row(blk.norm1, ws.x.row(r), ws.h.row(r));
-      maybe_quantize(ws.h.row(r), fp16);
-    }
-
-    attention_span(blk, bi, pos0, n, cache, hooks, exec, first_token_phase,
-                   ws, pool);
-
-    if (config_.parallel_block) {
-      mlp_span(blk, bi, ws.h, pos0, n, hooks, exec, first_token_phase, ws,
-               pool);
-      for (std::size_t r = 0; r < n; ++r) {
-        auto x = ws.x.row(r);
-        add_inplace(x, ws.o.row(r));
-        add_inplace(x, ws.f2.row(r));
-        maybe_quantize(x, fp16);
-      }
-    } else {
-      for (std::size_t r = 0; r < n; ++r) {
-        auto x = ws.x.row(r);
-        add_inplace(x, ws.o.row(r));
-        maybe_quantize(x, fp16);
-        apply_norm_row(blk.norm2, ws.x.row(r), ws.h.row(r));
-        maybe_quantize(ws.h.row(r), fp16);
-      }
-      mlp_span(blk, bi, ws.h, pos0, n, hooks, exec, first_token_phase, ws,
-               pool);
-      for (std::size_t r = 0; r < n; ++r) {
-        auto x = ws.x.row(r);
-        add_inplace(x, ws.f2.row(r));
-        maybe_quantize(x, fp16);
-      }
-    }
-  }
-  cache.advance(n);
-
-  if (logits.empty()) return;
-  // Only the last span position's logits are observable: generate() ignores
-  // intermediate prefill logits, so the blocked path never computes them.
-  apply_norm_row(weights_.final_norm, ws.x.row(n - 1), ws.final_h.row(0));
-  maybe_quantize(ws.final_h.row(0), fp16);
-  lm_head_row(ws, logits);
-}
-
-void TransformerLM::attention_batch(const BlockWeights& blk,
-                                    std::size_t block_idx,
-                                    std::span<DecodeSlot> slots,
-                                    const ExecConfig& exec, Workspace& ws,
-                                    ThreadPool& pool,
-                                    const PackedDecodeWeights& packed) const {
-  const bool fp16 = exec.fp16;
-  const int b = static_cast<int>(block_idx);
-  const std::size_t n = slots.size();
-  const PackedDecodeWeights::Block& pb = packed.blocks[block_idx];
-  run_linear_batch(blk.q, pb.q, ws.h, slots,
-                   ws.q, exec, pool, b, LayerKind::kQProj);
-  run_linear_batch(blk.k, pb.k, ws.h, slots,
-                   ws.k, exec, pool, b, LayerKind::kKProj);
-  run_linear_batch(blk.v, pb.v, ws.h, slots,
-                   ws.v, exec, pool, b, LayerKind::kVProj);
-
-  const std::size_t n_heads = config_.n_heads;
-  const std::size_t head_dim = config_.head_dim();
-  if (config_.position == PositionKind::kRotary) {
-    for (std::size_t r = 0; r < n; ++r) {
-      rope_apply(ws.q.row(r), n_heads, head_dim, slots[r].pos,
-                 config_.rope_theta);
-      rope_apply(ws.k.row(r), n_heads, head_dim, slots[r].pos,
-                 config_.rope_theta);
-      maybe_quantize(ws.q.row(r), fp16);
-      maybe_quantize(ws.k.row(r), fp16);
-    }
-  }
-
-  for (std::size_t r = 0; r < n; ++r) {
-    slots[r].cache->store(block_idx, slots[r].pos, ws.k.row(r), ws.v.row(r));
-  }
-
-  // Causal attention, one independent task per slot — each row reads only
-  // its own sequence's cache, with the sequential path's fixed loop order.
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  pool.parallel_for(0, n, [&](std::size_t r) {
-    const KvCache& cache = *slots[r].cache;
-    const std::size_t len = slots[r].pos + 1;
-    auto out = ws.attn_out.row(r);
-    std::fill(out.begin(), out.end(), 0.0f);
-    for (std::size_t hh = 0; hh < n_heads; ++hh) {
-      const std::size_t off = hh * head_dim;
-      auto scores = ws.scores.row(r).subspan(0, len);
-      const float* qh = ws.q.row(r).data() + off;
-      for (std::size_t j = 0; j < len; ++j) {
-        const float* kh = cache.key(block_idx, j).data() + off;
-        float dot = 0.0f;
-        for (std::size_t i = 0; i < head_dim; ++i) dot += qh[i] * kh[i];
-        scores[j] = dot * scale;
-      }
-      maybe_quantize(scores, fp16);
-      softmax(scores);
-      maybe_quantize(scores, fp16);
-      float* oh = out.data() + off;
-      for (std::size_t j = 0; j < len; ++j) {
-        const float p = scores[j];
-        if (p == 0.0f) continue;
-        const float* vh = cache.value(block_idx, j).data() + off;
-        for (std::size_t i = 0; i < head_dim; ++i) oh[i] += p * vh[i];
-      }
-    }
-    maybe_quantize(out, fp16);
-  });
-
-  run_linear_batch(blk.o, pb.o, ws.attn_out,
-                   slots, ws.o, exec, pool, b, LayerKind::kOutProj);
-}
-
-void TransformerLM::mlp_batch(const BlockWeights& blk, std::size_t block_idx,
-                              const Tensor& input,
-                              std::span<DecodeSlot> slots,
-                              const ExecConfig& exec, Workspace& ws,
-                              ThreadPool& pool,
-                              const PackedDecodeWeights& packed) const {
-  const bool fp16 = exec.fp16;
-  const int b = static_cast<int>(block_idx);
-  const bool llama = config_.arch == ArchFamily::kLlama;
-  const std::size_t n = slots.size();
-  const std::size_t d_ff = config_.d_ff;
-  std::span<float> act_view{ws.act.data(), n * d_ff};
-  const PackedDecodeWeights::Block& pb = packed.blocks[block_idx];
-
-  // Per-slot MlpAct finish: the activation is elementwise, so row r holds
-  // exactly the values the sequential path hands this slot's chain (the
-  // quantize/protect sweep is fused per row when the slot's chain accepts).
-  const auto finish_act = [&] {
-    for (std::size_t r = 0; r < n; ++r) {
-      HookContext ctx{LayerSite{b, LayerKind::kMlpAct}, slots[r].pos,
-                      /*first_token_phase=*/false};
-      finish_output(ws.act.row(r), ctx, *slots[r].hooks, exec);
-    }
-  };
-
-  if (llama) {
-    run_linear_batch(blk.fc1, pb.fc1, input,
-                     slots, ws.f1, exec, pool, b, LayerKind::kGateProj);
-    run_linear_batch(blk.up, pb.up, input, slots,
-                     ws.f_up, exec, pool, b, LayerKind::kUpProj);
-    std::copy_n(ws.f1.data(), n * d_ff, ws.act.data());
-    silu(act_view);
-    finish_act();
-    mul_inplace(act_view, {ws.f_up.data(), n * d_ff});
-    maybe_quantize(act_view, fp16);
-    run_linear_batch(blk.fc2, pb.fc2, ws.act,
-                     slots, ws.f2, exec, pool, b, LayerKind::kDownProj);
-  } else {
-    run_linear_batch(blk.fc1, pb.fc1, input,
-                     slots, ws.f1, exec, pool, b, LayerKind::kFc1);
-    std::copy_n(ws.f1.data(), n * d_ff, ws.act.data());
-    if (config_.activation == Activation::kRelu) {
-      relu(act_view);
-    } else {
-      gelu(act_view);
-    }
-    finish_act();
-    run_linear_batch(blk.fc2, pb.fc2, ws.act,
-                     slots, ws.f2, exec, pool, b, LayerKind::kFc2);
-  }
+  const RowSegment seg{tokens, pos0, &cache, &hooks, first_token_phase,
+                       logits};
+  forward_rows({&seg, 1}, exec, ws, packed_);
 }
 
 void TransformerLM::forward_batch(std::span<DecodeSlot> slots,
                                   const ExecConfig& exec, Workspace& ws,
                                   const PackedDecodeWeights* packed) const {
-  const std::size_t n = slots.size();
-  if (n == 0) return;
-  const bool fp16 = exec.fp16;
-  for (const DecodeSlot& s : slots) {
-    FT2_CHECK(s.cache != nullptr && s.hooks != nullptr);
-    FT2_CHECK_MSG(s.cache->length() == s.pos,
-                  "slot cache length " << s.cache->length() << " != pos "
-                                       << s.pos);
-    FT2_CHECK(s.pos < config_.max_seq);
-    FT2_CHECK(s.token >= 0 &&
-              static_cast<std::size_t>(s.token) < config_.vocab_size);
-    FT2_CHECK(s.logits.size() == config_.vocab_size);
-  }
+  if (slots.empty()) return;
   const PackedDecodeWeights& pw = packed != nullptr ? *packed : packed_;
   FT2_CHECK_MSG(pw.blocks.size() == config_.n_blocks,
                 "packed weights built for a different model");
-  ws.ensure_chunk_capacity(config_, n);
-  ThreadPool& pool = exec.pool != nullptr ? *exec.pool : ThreadPool::global();
-
-  for (std::size_t r = 0; r < n; ++r) {
-    auto x = ws.x.row(r);
-    auto emb =
-        weights_.tok_emb.row(static_cast<std::size_t>(slots[r].token));
-    std::copy(emb.begin(), emb.end(), x.begin());
-    if (config_.position == PositionKind::kLearned) {
-      add_inplace(x, weights_.pos_emb.row(slots[r].pos));
-    }
-    maybe_quantize(x, fp16);
+  std::vector<RowSegment> segs;
+  segs.reserve(slots.size());
+  for (DecodeSlot& s : slots) {
+    FT2_CHECK(s.logits.size() == config_.vocab_size);
+    segs.push_back({{&s.token, 1}, s.pos, s.cache, s.hooks,
+                    /*first_token_phase=*/false, s.logits});
   }
-
-  for (std::size_t bi = 0; bi < config_.n_blocks; ++bi) {
-    const auto& blk = weights_.blocks[bi];
-    for (std::size_t r = 0; r < n; ++r) {
-      apply_norm_row(blk.norm1, ws.x.row(r), ws.h.row(r));
-      maybe_quantize(ws.h.row(r), fp16);
-    }
-
-    attention_batch(blk, bi, slots, exec, ws, pool, pw);
-
-    if (config_.parallel_block) {
-      mlp_batch(blk, bi, ws.h, slots, exec, ws, pool, pw);
-      for (std::size_t r = 0; r < n; ++r) {
-        auto x = ws.x.row(r);
-        add_inplace(x, ws.o.row(r));
-        add_inplace(x, ws.f2.row(r));
-        maybe_quantize(x, fp16);
-      }
-    } else {
-      for (std::size_t r = 0; r < n; ++r) {
-        auto x = ws.x.row(r);
-        add_inplace(x, ws.o.row(r));
-        maybe_quantize(x, fp16);
-        apply_norm_row(blk.norm2, ws.x.row(r), ws.h.row(r));
-        maybe_quantize(ws.h.row(r), fp16);
-      }
-      mlp_batch(blk, bi, ws.h, slots, exec, ws, pool, pw);
-      for (std::size_t r = 0; r < n; ++r) {
-        auto x = ws.x.row(r);
-        add_inplace(x, ws.f2.row(r));
-        maybe_quantize(x, fp16);
-      }
-    }
-  }
-  for (std::size_t r = 0; r < n; ++r) slots[r].cache->advance();
-
-  // LM head: every slot's logits are observable each decode step. The
-  // sequential path always uses the packed (non-chunked) kernel here, so
-  // the batch does too. No quantization and no hooks on logits — exactly
-  // like forward_position.
-  for (std::size_t r = 0; r < n; ++r) {
-    apply_norm_row(weights_.final_norm, ws.x.row(r), ws.final_h.row(r));
-    maybe_quantize(ws.final_h.row(r), fp16);
-  }
-  linear_forward_span_packed(ws.final_h, n, pw.lm_head, ws.logits, pool);
-  for (std::size_t r = 0; r < n; ++r) {
-    auto row = ws.logits.row(r);
-    std::copy(row.begin(), row.end(), slots[r].logits.begin());
-  }
+  forward_rows(segs, exec, ws, pw);
 }
 
 PackedDecodeWeights::PackedDecodeWeights(const TransformerLM& model)
@@ -849,14 +539,9 @@ std::size_t run_prefill(const TransformerLM& model,
     // Logits are only needed from the chunk containing the last prompt
     // position; earlier chunks skip the LM head entirely.
     const bool last_chunk = pos + n == prompt_len;
-    if (n == 1) {
-      model.forward_position(prompt[pos], pos, cache, hooks, exec,
-                             /*first_token_phase=*/true, ws, logits);
-    } else {
-      model.forward_span(prompt.subspan(pos, n), pos, cache, hooks, exec,
-                         /*first_token_phase=*/true, ws,
-                         last_chunk ? logits : std::span<float>{});
-    }
+    model.forward_span(prompt.subspan(pos, n), pos, cache, hooks, exec,
+                       /*first_token_phase=*/true, ws,
+                       last_chunk ? logits : std::span<float>{});
     pos += n;
   }
   return prompt_len;

@@ -1,20 +1,21 @@
 // Decoder-only transformer inference engine with hookable layer outputs.
 //
-// The engine has three execution paths against the same KV cache:
-//   - forward_position: one position at a time (incremental decode, and the
-//     reference prefill path);
-//   - forward_span: a blocked prefill that pushes a CHUNK of prompt
-//     positions through each layer as an MxK * KxN GEMM parallelised over a
-//     thread pool, with causal attention rows computed per position;
-//   - forward_batch: one decode position for each of several sequences.
-// All three run every linear layer and the LM head on the same GEMM tiles,
-// packed once when the model is built (PackedDecodeWeights); after
-// mutating weights(), call repack() before running the model again.
-// The blocked path is bit-exact with running forward_position over the same
-// positions: every output element is one dot product with a fixed
-// accumulation order computed by exactly one task, cross-position dataflow
-// only passes through the KV cache (stored after hooks, exactly like the
-// sequential path), and hooks observe each site's values in increasing
+// One forward runs a list of row segments — each some consecutive
+// positions of one sequence, with that sequence's KV cache, hook chain and
+// logits — through every layer. Three entry points feed it:
+//   - forward_position: one segment of one row (incremental decode);
+//   - forward_span: one segment of n rows (a blocked prefill chunk);
+//   - forward_batch: B segments of one row (one decode position for each
+//     of several sequences).
+// Every linear layer runs as one GEMM over all rows of the call, on GEMM
+// tiles packed once when the model is built (PackedDecodeWeights); after
+// mutating weights(), call repack() before running the model again. Hooks
+// dispatch once per segment at every site, in segment order, each with the
+// segment's [rows x width] span. Any segmentation of the same positions is
+// bit-exact with running them one row at a time: every output element is
+// one dot product with a fixed accumulation order computed by exactly one
+// task, cross-position dataflow only passes through the KV cache (stored
+// after hooks), and hooks observe each site's values in increasing
 // position order.
 //
 // When FP16 execution is modelled, every observable tensor — linear outputs,
@@ -41,9 +42,9 @@ namespace ft2 {
 
 class ThreadPool;  // common/thread_pool.hpp
 
-/// Scratch buffers reused across positions. Rows 1..capacity-1 are only
-/// used by the blocked prefill and the batched decode; the sequential path
-/// always works in row 0.
+/// Scratch buffers reused across forward calls: row r of each buffer holds
+/// row r of the current call (segments stacked in call order), so a
+/// one-row call works in row 0 only.
 struct Workspace {
   Tensor x;         // [cap, d] residual stream
   Tensor h;         // [cap, d] normed input
@@ -54,8 +55,7 @@ struct Workspace {
   Tensor f2;        // [cap, d]
   Tensor scores;    // [cap, max_seq]
   Tensor final_h;   // [cap, d]
-  Tensor logits;    // [cap, vocab] (batched decode LM head)
-  std::size_t current_pos = 0;  // position being processed (hook context)
+  Tensor logits;    // [cap, vocab] LM head, one row per segment
 
   explicit Workspace(const ModelConfig& config, std::size_t chunk_capacity = 1);
 
@@ -73,8 +73,9 @@ struct Workspace {
 /// reduction order, as a different GPU generation would use) — results stay
 /// semantically equivalent but differ in float rounding, which is exactly
 /// what the hardware-sensitivity experiment (Fig. 16) varies. `pool` selects
-/// the thread pool for the blocked prefill (null = process-wide pool); the
-/// pool size never affects results, only wall-clock time.
+/// the thread pool for multi-row forward calls (null = process-wide pool;
+/// a one-row call runs on the calling thread); the pool size never affects
+/// results, only wall-clock time.
 struct ExecConfig {
   bool fp16 = true;
   bool chunked_accum = false;
@@ -82,6 +83,8 @@ struct ExecConfig {
 };
 
 class TransformerLM;
+struct RowSegment;   // nn/model.cpp: one segment of a forward call
+struct ForwardPass;  // nn/model.cpp: per-call state of that forward
 
 /// Packed k-outer GEMM tiles (PackedLinear) for every linear layer of one
 /// model: attention projections, MLP and LM head. Every TransformerLM owns
@@ -141,30 +144,23 @@ class TransformerLM {
   void set_linear_weight(const LayerSite& site, std::size_t row,
                          std::size_t col, float value);
 
-  /// Computes logits for the token at sequence position `pos`.
-  /// Preconditions: cache.length() == pos. Appends this position's K/V to
-  /// the cache and advances it. `logits` must have vocab_size elements.
-  /// Hooks fire for every observable layer output.
+  /// Computes logits for the token at sequence position `pos`: one
+  /// segment of one row, run on the calling thread. Preconditions:
+  /// cache.length() == pos. Appends this position's K/V to the cache and
+  /// advances it. `logits` must have vocab_size elements. Hooks fire for
+  /// every observable layer output.
   void forward_position(int token, std::size_t pos, KvCache& cache,
                         const HookChain& hooks, const ExecConfig& exec,
                         bool first_token_phase, Workspace& ws,
                         std::span<float> logits) const;
 
-  /// Backward-compatible overload taking only the fp16 flag.
-  void forward_position(int token, std::size_t pos, KvCache& cache,
-                        const HookChain& hooks, bool fp16,
-                        bool first_token_phase, Workspace& ws,
-                        std::span<float> logits) const {
-    forward_position(token, pos, cache, hooks, ExecConfig{fp16, false},
-                     first_token_phase, ws, logits);
-  }
-
-  /// Blocked prefill: processes `tokens` at sequence positions
-  /// [pos0, pos0 + tokens.size()) through every layer as a batched GEMM,
-  /// appends the chunk's K/V to the cache in one shot and applies causal
-  /// attention per chunk row. Bit-exact with calling forward_position for
-  /// each position in order, at any pool size (see file header). Hooks fire
-  /// once per layer site with a [n_positions x width] span view. `logits`
+  /// Blocked prefill, one segment of n rows: processes `tokens` at
+  /// sequence positions [pos0, pos0 + tokens.size()) through every layer
+  /// as a batched GEMM, appends the chunk's K/V to the cache in one shot
+  /// and applies causal attention per chunk row. Bit-exact with calling
+  /// forward_position for each position in order, at any chunk size
+  /// (1 included) and pool size (see file header). Hooks fire once per
+  /// layer site with a [n_positions x width] span view. `logits`
   /// receives the output for the LAST span position only (intermediate
   /// prefill logits are never observed by generate); pass an empty span to
   /// skip the LM head entirely.
@@ -173,11 +169,12 @@ class TransformerLM {
                     const ExecConfig& exec, bool first_token_phase,
                     Workspace& ws, std::span<float> logits) const;
 
-  /// Batched decode: advances every slot's sequence by one position in a
-  /// single pass, stacking the B slots' rows into a B x K * K x N GEMM per
-  /// linear layer (the serve engine's continuous-batching kernel). Each
-  /// slot keeps its own cache, hook chain and logits; hooks fire per slot
-  /// row with single-position contexts, in slot order at every site, so a
+  /// Batched decode, B segments of one row: advances every slot's sequence
+  /// by one position in a single pass, stacking the B slots' rows into a
+  /// B x K * K x N GEMM per linear layer (the serve engine's
+  /// continuous-batching kernel). Each slot keeps its own cache, hook chain
+  /// and logits; hooks fire per slot row with single-position contexts, in
+  /// slot order at every site, so a
   /// slot's hook chain observes exactly the call sequence forward_position
   /// would produce (batching is invisible to per-sequence state).
   /// Bit-exact with calling forward_position once per slot, at any batch
@@ -193,33 +190,13 @@ class TransformerLM {
   }
 
  private:
-  void attention(const BlockWeights& blk, std::size_t block_idx,
-                 std::size_t pos, KvCache& cache, const HookChain& hooks,
-                 const ExecConfig& exec, bool first_token,
-                 Workspace& ws) const;
-  void mlp(const BlockWeights& blk, std::size_t block_idx, const Tensor& input,
-           const HookChain& hooks, const ExecConfig& exec, bool first_token,
-           Workspace& ws) const;
-  void attention_span(const BlockWeights& blk, std::size_t block_idx,
-                      std::size_t pos0, std::size_t n, KvCache& cache,
-                      const HookChain& hooks, const ExecConfig& exec,
-                      bool first_token, Workspace& ws, ThreadPool& pool) const;
-  void mlp_span(const BlockWeights& blk, std::size_t block_idx,
-                const Tensor& input, std::size_t pos0, std::size_t n,
-                const HookChain& hooks, const ExecConfig& exec,
-                bool first_token, Workspace& ws, ThreadPool& pool) const;
-  void attention_batch(const BlockWeights& blk, std::size_t block_idx,
-                       std::span<DecodeSlot> slots, const ExecConfig& exec,
-                       Workspace& ws, ThreadPool& pool,
-                       const PackedDecodeWeights& packed) const;
-  void mlp_batch(const BlockWeights& blk, std::size_t block_idx,
-                 const Tensor& input, std::span<DecodeSlot> slots,
-                 const ExecConfig& exec, Workspace& ws, ThreadPool& pool,
-                 const PackedDecodeWeights& packed) const;
+  /// The one forward behind the three entry points (see file header).
+  void forward_rows(std::span<const RowSegment> segs, const ExecConfig& exec,
+                    Workspace& ws, const PackedDecodeWeights& packed) const;
+  void attention(const ForwardPass& p, std::size_t block_idx) const;
+  void mlp(const ForwardPass& p, std::size_t block_idx) const;
   void apply_norm_row(const NormWeights& nw, std::span<const float> in,
                       std::span<float> out) const;
-  /// LM head of ws.final_h row 0 into `logits`.
-  void lm_head_row(Workspace& ws, std::span<float> logits) const;
 
   ModelConfig config_;
   ModelWeights weights_;
@@ -238,9 +215,9 @@ struct GenerateOptions {
   float temperature = 0.0f;    ///< 0 = greedy; > 0 = softmax sampling
   std::size_t top_k = 0;       ///< 0 = all tokens; else sample among top-k
   std::uint64_t sample_seed = 1;  ///< RNG seed for sampling decode
-  /// Prompt positions processed per blocked-prefill chunk. 1 = fully
-  /// sequential reference path; 0 = the whole prompt in one chunk. Chunking
-  /// is bit-exact with the sequential path, so this is purely a speed knob.
+  /// Prompt positions processed per blocked-prefill chunk. 1 = one
+  /// position per forward; 0 = the whole prompt in one chunk. Chunking is
+  /// bit-exact with one-position forwards, so this is purely a speed knob.
   std::size_t prefill_chunk = 32;
   ThreadPool* pool = nullptr;  ///< pool for blocked prefill (null = global)
 };
@@ -253,9 +230,9 @@ struct GenerateResult {
 };
 
 /// Runs the blocked prompt prefill exactly as InferenceSession::generate
-/// does: chunks of `options.prefill_chunk` positions (0 = whole prompt,
-/// 1-wide chunks go through forward_position), logits computed only from
-/// the chunk containing the last prompt position. Does NOT bracket the
+/// does: forward_span chunks of `options.prefill_chunk` positions (0 =
+/// whole prompt), logits computed only from the chunk containing the last
+/// prompt position. Does NOT bracket the
 /// hook chain with begin/end — the caller owns the generation scope.
 /// Returns the number of prompt positions run (the prompt is truncated to
 /// the model's max_seq). Shared by InferenceSession and ServeEngine so the

@@ -550,15 +550,9 @@ bool ServeEngine::begin_admission(Request& req) {
     while (pos < fed.size()) {
       const std::size_t n = std::min(chunk, fed.size() - pos);
       if (!reserve_rows_or_evict(req, n)) return false;
-      if (n == 1) {
-        model_.forward_position(fed[pos], pos, req.cache, req.hooks, exec,
-                                /*first_token_phase=*/true, ws_,
-                                {req.logits.data(), req.logits.size()});
-      } else {
-        model_.forward_span(fed_span.subspan(pos, n), pos, req.cache,
-                            req.hooks, exec, /*first_token_phase=*/true, ws_,
-                            std::span<float>{});
-      }
+      model_.forward_span(fed_span.subspan(pos, n), pos, req.cache,
+                          req.hooks, exec, /*first_token_phase=*/true, ws_,
+                          std::span<float>{});
       pos += n;
       // Replayed positions are engine work but not solo-equivalent
       // positions: result.positions_run already counted them.
@@ -575,10 +569,10 @@ bool ServeEngine::begin_admission(Request& req) {
 
 std::size_t ServeEngine::run_prefill_chunk(Request& req) {
   // One chunk, sized and dispatched exactly as run_prefill (nn/model.cpp)
-  // would: chunks of options.prefill_chunk from position 0, width-1 chunks
-  // through forward_position with a live logits span. Identical chunk
-  // boundaries mean identical hook dispatch shapes, so a hooked request
-  // sees the same traffic a solo generate produces no matter how the
+  // would: forward_span chunks of options.prefill_chunk from position 0,
+  // logits from the last chunk only. Identical chunk boundaries mean
+  // identical hook dispatch shapes, so a hooked request sees the same
+  // traffic a solo generate produces no matter how the
   // prefill_chunk_budget spreads its chunks across engine steps.
   const std::size_t P = req.prefill_len(model_.config().max_seq);
   const GenerateOptions& o = req.options;
@@ -600,16 +594,10 @@ std::size_t ServeEngine::run_prefill_chunk(Request& req) {
   const bool last_chunk = req.next_prefill + n == P;
   const std::span<const int> prompt{req.prompt.data(), P};
   const std::span<float> logits{req.logits.data(), req.logits.size()};
-  if (n == 1) {
-    model_.forward_position(prompt[req.next_prefill], req.next_prefill,
-                            req.cache, req.hooks, exec,
-                            /*first_token_phase=*/true, ws_, logits);
-  } else {
-    model_.forward_span(prompt.subspan(req.next_prefill, n), req.next_prefill,
-                        req.cache, req.hooks, exec,
-                        /*first_token_phase=*/true, ws_,
-                        last_chunk ? logits : std::span<float>{});
-  }
+  model_.forward_span(prompt.subspan(req.next_prefill, n), req.next_prefill,
+                      req.cache, req.hooks, exec,
+                      /*first_token_phase=*/true, ws_,
+                      last_chunk ? logits : std::span<float>{});
   req.next_prefill += n;
   req.pos += n;
   req.result.positions_run += n;

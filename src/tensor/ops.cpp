@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <mutex>
 
 #include "common/thread_pool.hpp"
@@ -117,7 +118,7 @@ void linear_forward_span_packed(const Tensor& x, std::size_t rows,
   const std::size_t strip = ops.tile_cols;
   const std::size_t groups = (n + tc - 1) / tc;
   std::mutex tally_mu;
-  pool.parallel_for(0, groups, [&](std::size_t g) {
+  const auto tile_task = [&](std::size_t g) {
     const float* wt = pl.tiles.data() + g * pl.k * tc;
     const float* bias_padded = pl.bias.data() + g * tc;
     const std::size_t o_lo = g * tc;
@@ -138,7 +139,10 @@ void linear_forward_span_packed(const Tensor& x, std::size_t rows,
       const std::lock_guard<std::mutex> lock(tally_mu);
       tally->merge(std::move(local));
     }
-  });
+  };
+  // Passed by reference so the std::function wrapper never heap-allocates
+  // the capture: a one-row forward makes no allocation per GEMM.
+  pool.parallel_for(0, groups, std::ref(tile_task));
   if (tally != nullptr) tally->sort_events();
 }
 
@@ -173,13 +177,14 @@ void linear_forward_span(const Tensor& x, std::size_t rows, const Tensor& w,
     col_tiles = std::min(n, (2 * workers + rows - 1) / rows);
   }
   const std::size_t tile_cols = (n + col_tiles - 1) / col_tiles;
-  pool.parallel_for(0, rows * col_tiles, [&](std::size_t task) {
+  const auto tile_task = [&](std::size_t task) {
     const std::size_t r = task / col_tiles;
     const std::size_t t = task % col_tiles;
     const std::size_t o_lo = t * tile_cols;
     const std::size_t o_hi = std::min(n, o_lo + tile_cols);
     gemm_tile_chunked(x.row(r), w, bias, y.row(r), o_lo, o_hi);
-  });
+  };
+  pool.parallel_for(0, rows * col_tiles, std::ref(tile_task));
 }
 
 void softmax(std::span<float> v) {

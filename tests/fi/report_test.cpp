@@ -6,15 +6,28 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "fi/shard.hpp"
 #include "nn/weights.hpp"
 
 namespace ft2 {
 namespace {
+
+/// `name` under the temp directory with this process's id before its
+/// extension: the PoolContention ctest runs this suite alongside its own
+/// ctest entries.
+std::filesystem::path temp_path(const std::string& name) {
+  const std::filesystem::path p(name);
+  return std::filesystem::temp_directory_path() /
+         (p.stem().string() + "-" + std::to_string(::getpid()) +
+          p.extension().string());
+}
 
 TransformerLM micro_model() {
   ModelConfig c;
@@ -97,10 +110,9 @@ TEST(CampaignReport, AggregationReproducesCampaignResultExactly) {
 
 TEST(CampaignReport, EveryOnDiskFormatAggregatesIdentically) {
   const CampaignRun run = small_campaign();
-  const auto dir = std::filesystem::temp_directory_path();
-  const std::string csv = (dir / "ft2_report_test.csv").string();
-  const std::string jsonl = (dir / "ft2_report_test.jsonl").string();
-  const std::string json = (dir / "ft2_report_test.json").string();
+  const std::string csv = temp_path("ft2_report_test.csv").string();
+  const std::string jsonl = temp_path("ft2_report_test.jsonl").string();
+  const std::string json = temp_path("ft2_report_test.json").string();
   {
     std::ofstream os(csv);
     run.trace.write_csv(os);
@@ -202,7 +214,7 @@ TEST(CampaignReport, ShardSplitMergeMatchesWholeRunExactly) {
   const std::string whole_report =
       aggregate_trial_records(whole_records).to_json().dump(-1);
 
-  const auto dir = std::filesystem::temp_directory_path() / "ft2_shard_eq";
+  const auto dir = temp_path("ft2_shard_eq");
   std::filesystem::create_directories(dir);
   for (const std::size_t shards : {2u, 4u, 7u}) {
     SCOPED_TRACE(std::to_string(shards) + " shards");
@@ -248,8 +260,7 @@ TEST(CampaignReport, ShardSplitMergeMatchesWholeRunExactly) {
 
 TEST(CampaignReport, LoadRejectsMissingAndEmptyLogs) {
   EXPECT_THROW(load_trial_records("/nonexistent/ft2.jsonl"), Error);
-  const auto path =
-      (std::filesystem::temp_directory_path() / "ft2_empty.jsonl").string();
+  const auto path = temp_path("ft2_empty.jsonl").string();
   { std::ofstream os(path); }
   EXPECT_THROW(load_trial_records(path), Error);
   std::remove(path.c_str());

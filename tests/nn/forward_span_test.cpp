@@ -118,10 +118,11 @@ TEST(ForwardSpan, BitExactAcrossExecConfigsAndChunkSizes) {
       for (bool chunked_accum : {false, true}) {
         const ExecConfig exec{fp16, chunked_accum};
         const RunOutput ref = run_sequential(model, prompt, exec, no_hooks);
-        // 2 and 5 exercise ragged tails (13 % chunk != 0, including a
-        // final 1-wide chunk); 0 runs the whole prompt as one GEMM.
-        for (std::size_t chunk : {std::size_t{2}, std::size_t{5},
-                                  std::size_t{0}}) {
+        // 1 runs one-row spans; 2 and 5 exercise ragged tails (13 % chunk
+        // != 0, including a final 1-wide chunk); 0 runs the whole prompt
+        // as one GEMM.
+        for (std::size_t chunk : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{5}, std::size_t{0}}) {
           const RunOutput got =
               run_blocked(model, prompt, chunk, exec, no_hooks);
           EXPECT_EQ(got.prefill_logits, ref.prefill_logits)
@@ -192,13 +193,25 @@ TEST(ForwardSpan, HooksObserveSameRowsInSamePerSiteOrder) {
     opts.max_new_tokens = 4;
     opts.eos_token = -1;
 
+    // Reference: generate's greedy loop driven by hand, one
+    // forward_position per prompt and decode position.
     SiteRecorder sequential;
     {
-      InferenceSession session(model);
-      const auto reg = session.hooks().add(sequential);
-      GenerateOptions seq_opts = opts;
-      seq_opts.prefill_chunk = 1;
-      session.generate(prompt, seq_opts);
+      HookChain hooks;
+      const auto reg = hooks.add(sequential);
+      KvCache cache = model.make_cache();
+      Workspace ws(model.config());
+      std::vector<float> logits(model.config().vocab_size);
+      const ExecConfig exec{opts.fp16, opts.chunked_accum};
+      std::size_t pos = 0;
+      for (; pos < prompt.size(); ++pos) {
+        model.forward_position(prompt[pos], pos, cache, hooks, exec, true, ws,
+                               logits);
+      }
+      for (std::size_t step = 1; step < opts.max_new_tokens; ++step, ++pos) {
+        model.forward_position(static_cast<int>(argmax(logits)), pos, cache,
+                               hooks, exec, false, ws, logits);
+      }
     }
     SiteRecorder blocked;
     {

@@ -127,7 +127,7 @@ std::vector<float> prompt_logits(const TransformerLM& model,
   const HookChain hooks;
   std::vector<float> logits(model.config().vocab_size);
   for (std::size_t pos = 0; pos < prompt.size(); ++pos) {
-    model.forward_position(prompt[pos], pos, cache, hooks, /*fp16=*/true,
+    model.forward_position(prompt[pos], pos, cache, hooks, ExecConfig{true},
                            /*first_token_phase=*/false, ws, logits);
   }
   return logits;
