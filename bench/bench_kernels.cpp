@@ -9,13 +9,16 @@
 //   bench_kernels --tiers [--json FILE]
 //       per-dispatch-tier GEMM and quantize throughput (every tier the
 //       host supports, plus the fused protection epilogue's cost on the
-//       GEMM store path). --json writes the bench/baselines/
+//       GEMM store path) and the attention row's ns/row and GFLOP/s at
+//       len 32, 128 and 256. --json writes the bench/baselines/
 //       BENCH_kernels.json shape; without it a table prints.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <iostream>
+#include <string>
 
 #include "bench_util.hpp"
 #include "common/cli.hpp"
@@ -224,6 +227,54 @@ TierRates measure_tier(KernelTier tier, std::size_t n, std::size_t k,
   return rates;
 }
 
+/// Cost of one attention row as the engine runs it (fp16): per head, the
+/// scores, a quantize, the softmax, a quantize and the value sum, over
+/// `len` cached keys with kAttnHeads heads of kAttnHeadDim. K/V rows come
+/// through a pointer table, as attend_row reads them.
+constexpr std::size_t kAttnHeads = 8;
+constexpr std::size_t kAttnHeadDim = 16;
+constexpr std::size_t kAttnLens[] = {32, 128, 256};
+
+struct AttentionRate {
+  double ns_per_row = 0.0;
+  double gflops = 0.0;  ///< q·k and p·v multiply-adds only
+};
+
+AttentionRate measure_attention(std::size_t len, std::size_t reps) {
+  const std::size_t d = kAttnHeads * kAttnHeadDim;
+  Xoshiro256 rng(101);
+  Tensor keys({len, d}), values({len, d});
+  for (float& f : keys.span()) f = rng.uniform_float(-1.0f, 1.0f);
+  for (float& f : values.span()) f = rng.uniform_float(-1.0f, 1.0f);
+  std::vector<const float*> k_rows(len), v_rows(len);
+  for (std::size_t j = 0; j < len; ++j) {
+    k_rows[j] = keys.row(j).data();
+    v_rows[j] = values.row(j).data();
+  }
+  std::vector<float> q(d), out(d), scores(len);
+  for (float& f : q) f = rng.uniform_float(-1.0f, 1.0f);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(kAttnHeadDim));
+  const KernelOps& ops = active_kernel_ops();
+  const double rows_per_sec = best_items_per_sec(1.0, reps, [&] {
+    std::fill(out.begin(), out.end(), 0.0f);
+    for (std::size_t h = 0; h < kAttnHeads; ++h) {
+      const std::size_t off = h * kAttnHeadDim;
+      ops.attn_scores(q.data() + off, k_rows.data(), off, len, kAttnHeadDim,
+                      scale, scores.data());
+      quantize_span_f16(scores);
+      softmax(scores);
+      quantize_span_f16(scores);
+      ops.attn_value_sum(scores.data(), v_rows.data(), off, len,
+                         kAttnHeadDim, out.data() + off);
+    }
+    benchmark::DoNotOptimize(out.data());
+  });
+  AttentionRate rate;
+  rate.ns_per_row = 1e9 / rows_per_sec;
+  rate.gflops = 4.0 * static_cast<double>(len * d) * rows_per_sec / 1e9;
+  return rate;
+}
+
 int run_tiers(const ArgParser& args) {
   const std::size_t n = 256, k = 256, rows = 8;
   const std::size_t reps = env_size("FT2_BENCH_REPS", 5);
@@ -232,6 +283,7 @@ int run_tiers(const ArgParser& args) {
   Json tiers = Json::object();
   Table table({"tier", "gemm GFLOP/s", "packed GFLOP/s", "fused-epi GFLOP/s",
                "fused cost", "quantize Gelem/s"});
+  Table attn_table({"tier", "len", "ns/row", "GFLOP/s"});
   for (KernelTier tier : supported_kernel_tiers()) {
     const TierRates r = measure_tier(tier, n, k, rows, reps);
     const double fused_cost =
@@ -248,6 +300,20 @@ int run_tiers(const ArgParser& args) {
     t["gemm_packed_gflops"] = r.gemm_packed_gflops;
     t["gemm_fused_gflops"] = r.gemm_fused_gflops;
     t["quantize_gelems_per_sec"] = r.quantize_gelems;
+    Json attn = Json::object();
+    for (const std::size_t len : kAttnLens) {
+      const AttentionRate a = measure_attention(len, reps);
+      attn_table.begin_row()
+          .cell(kernel_tier_name(tier))
+          .num(static_cast<double>(len), 0)
+          .num(a.ns_per_row, 0)
+          .num(a.gflops, 2);
+      Json row = Json::object();
+      row["ns_per_row"] = a.ns_per_row;
+      row["gflops"] = a.gflops;
+      attn["len" + std::to_string(len)] = row;
+    }
+    t["attention"] = attn;
     tiers[kernel_tier_name(tier)] = t;
   }
   set_kernel_tier(restore);
@@ -260,6 +326,8 @@ int run_tiers(const ArgParser& args) {
     cfg["gemm_k"] = static_cast<double>(k);
     cfg["gemm_rows"] = static_cast<double>(rows);
     cfg["quantize_elems"] = static_cast<double>(1u << 16);
+    cfg["attention_heads"] = static_cast<double>(kAttnHeads);
+    cfg["attention_head_dim"] = static_cast<double>(kAttnHeadDim);
     cfg["reps"] = static_cast<double>(reps);
     cfg["threads"] = 1.0;
     out["config"] = cfg;
@@ -281,6 +349,10 @@ int run_tiers(const ArgParser& args) {
             << " rows, packed tiles, single worker, best of " << reps
             << "\n\n";
   table.print(std::cout);
+  std::cout << "\nattention row (fp16): " << kAttnHeads << " heads x head_dim "
+            << kAttnHeadDim
+            << ", scores + softmax + value sum; GFLOP/s counts q.k and p.v\n\n";
+  attn_table.print(std::cout);
   std::cout << "\nall tiers are bit-exact (ctest -R KernelTierEquivalence); "
                "pick with FT2_KERNEL or --kernel\n";
   return 0;

@@ -43,7 +43,8 @@ Workspace::Workspace(const ModelConfig& config, std::size_t chunk_capacity)
       f2(x.shape()),
       scores(shape2(x.dim(0), config.max_seq)),
       final_h(x.shape()),
-      logits(shape2(x.dim(0), config.vocab_size)) {}
+      logits(shape2(x.dim(0), config.vocab_size)),
+      kv_rows(2 * config.max_seq) {}
 
 void Workspace::ensure_chunk_capacity(const ModelConfig& config,
                                       std::size_t rows) {
@@ -243,41 +244,35 @@ void run_linear(const ForwardPass& p, const LinearWeights& lw,
 }
 
 /// Causal attention of call row `r` over its own sequence's cache
-/// positions [0, pos]. The loop order is fixed, so the row comes out the
-/// same whichever task computes it.
-void attend_row(const ForwardPass& p, std::size_t block, std::size_t r) {
+/// positions [0, pos], reading the K/V rows its segment resolved into
+/// ws.kv_rows. The loop order is fixed, so the row comes out the same
+/// whichever task computes it.
+void attend_row(const ForwardPass& p, std::size_t r) {
   std::size_t i = r;
-  const RowSegment* s = p.segs.data();
-  while (i >= s->tokens.size()) i -= (s++)->tokens.size();
-  const KvCache& cache = *s->cache;
-  const std::size_t len = s->pos0 + i + 1;
+  std::size_t seg = 0;
+  while (i >= p.segs[seg].tokens.size()) i -= p.segs[seg++].tokens.size();
+  const std::size_t max_seq = p.config.max_seq;
+  const float* const* keys = p.ws.kv_rows.data() + seg * 2 * max_seq;
+  const float* const* values = keys + max_seq;
+  const std::size_t len = p.segs[seg].pos0 + i + 1;
   const std::size_t n_heads = p.config.n_heads;
   const std::size_t head_dim = p.config.head_dim();
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
   const bool fp16 = p.exec.fp16;
+  const KernelOps& ops = active_kernel_ops();
   Workspace& ws = p.ws;
   auto out = ws.attn_out.row(r);
   std::fill(out.begin(), out.end(), 0.0f);
+  const auto scores = ws.scores.row(r).subspan(0, len);
   for (std::size_t hh = 0; hh < n_heads; ++hh) {
     const std::size_t off = hh * head_dim;
-    auto scores = ws.scores.row(r).subspan(0, len);
-    const float* qh = ws.q.row(r).data() + off;
-    for (std::size_t j = 0; j < len; ++j) {
-      const float* kh = cache.key(block, j).data() + off;
-      float dot = 0.0f;
-      for (std::size_t d = 0; d < head_dim; ++d) dot += qh[d] * kh[d];
-      scores[j] = dot * scale;
-    }
+    ops.attn_scores(ws.q.row(r).data() + off, keys, off, len, head_dim, scale,
+                    scores.data());
     maybe_quantize(scores, fp16);
     softmax(scores);
     maybe_quantize(scores, fp16);
-    float* oh = out.data() + off;
-    for (std::size_t j = 0; j < len; ++j) {
-      const float pj = scores[j];
-      if (pj == 0.0f) continue;
-      const float* vh = cache.value(block, j).data() + off;
-      for (std::size_t d = 0; d < head_dim; ++d) oh[d] += pj * vh[d];
-    }
+    ops.attn_value_sum(scores.data(), values, off, len, head_dim,
+                       out.data() + off);
   }
   maybe_quantize(out, fp16);
 }
@@ -313,10 +308,18 @@ void TransformerLM::attention(const ForwardPass& p,
     s.cache->store(block_idx, pos, ws.k.row(r), ws.v.row(r));
   });
 
+  // Each segment resolves its K/V rows for this block once (after the
+  // stores, which may move a copy-on-write block); its attention rows read
+  // prefixes of them.
+  for (std::size_t si = 0; si < p.segs.size(); ++si) {
+    const RowSegment& s = p.segs[si];
+    const float** rows = ws.kv_rows.data() + si * 2 * config_.max_seq;
+    s.cache->row_pointers(block_idx, s.pos0 + s.tokens.size(), rows,
+                          rows + config_.max_seq);
+  }
+
   // One independent task per row; each reads only its own sequence's cache.
-  const auto attend = [&p, block_idx](std::size_t r) {
-    attend_row(p, block_idx, r);
-  };
+  const auto attend = [&p](std::size_t r) { attend_row(p, r); };
   p.pool.parallel_for(0, p.rows, std::ref(attend));
 
   run_linear(p, blk.o, pb.o, ws.attn_out, ws.o, b, LayerKind::kOutProj);
@@ -373,6 +376,8 @@ void TransformerLM::forward_rows(std::span<const RowSegment> segs,
     rows += s.tokens.size();
   }
   ws.ensure_chunk_capacity(config_, rows);
+  const std::size_t kv_rows = 2 * config_.max_seq * segs.size();
+  if (ws.kv_rows.size() < kv_rows) ws.kv_rows.resize(kv_rows);
   ThreadPool& pool = rows == 1              ? inline_pool()
                      : exec.pool != nullptr ? *exec.pool
                                             : ThreadPool::global();

@@ -56,6 +56,10 @@ struct Workspace {
   Tensor scores;    // [cap, max_seq]
   Tensor final_h;   // [cap, d]
   Tensor logits;    // [cap, vocab] LM head, one row per segment
+  /// K/V row pointers for the block being run: per segment of the call,
+  /// max_seq key rows then max_seq value rows (KvCache::row_pointers).
+  /// Sized for one segment; grows to the most segments a call has had.
+  std::vector<const float*> kv_rows;
 
   explicit Workspace(const ModelConfig& config, std::size_t chunk_capacity = 1);
 

@@ -137,8 +137,36 @@ void epilogue_span_sse(float* v, std::size_t n, std::size_t flat0,
   detail::epilogue_scalar_span(v, n, flat0, epi, tally);
 }
 
-constexpr KernelOps kSseOps{KernelTier::kSse, "sse", kSseTileCols,
-                            &kouter_row_sse, &epilogue_span_sse};
+/// Attention scores, reference tier: one scalar dot-product chain per key.
+/// The wider tiers run one of these chains per vector lane.
+void attn_scores_sse(const float* q, const float* const* k_rows,
+                     std::size_t off, std::size_t len, std::size_t head_dim,
+                     float scale, float* s) {
+  for (std::size_t j = 0; j < len; ++j) {
+    const float* kh = k_rows[j] + off;
+    float dot = 0.0f;
+    for (std::size_t d = 0; d < head_dim; ++d) dot += q[d] * kh[d];
+    s[j] = dot * scale;
+  }
+}
+
+/// Attention value sum, reference tier: ascending keys, each skipped when
+/// its weight is exactly zero.
+void attn_value_sum_sse(const float* p, const float* const* v_rows,
+                        std::size_t off, std::size_t len,
+                        std::size_t head_dim, float* out) {
+  for (std::size_t j = 0; j < len; ++j) {
+    const float pj = p[j];
+    if (pj == 0.0f) continue;
+    const float* vh = v_rows[j] + off;
+    for (std::size_t d = 0; d < head_dim; ++d) out[d] += pj * vh[d];
+  }
+}
+
+constexpr KernelOps kSseOps{KernelTier::kSse,   "sse",
+                            kSseTileCols,       &kouter_row_sse,
+                            &epilogue_span_sse, &attn_scores_sse,
+                            &attn_value_sum_sse};
 
 bool cpu_has_avx2_f16c() {
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))

@@ -1,8 +1,9 @@
-// Runtime CPU-feature dispatch for the GEMM/quantize micro-kernels.
+// Runtime CPU-feature dispatch for the GEMM/quantize/attention micro-kernels.
 //
-// The k-outer GEMM kernel and the f16 quantization sweep exist in three
-// tiers — SSE (the portable reference), AVX2+F16C, and AVX-512F — compiled
-// as separate arch-flagged translation units (tensor/kernels_avx2.cpp,
+// The k-outer GEMM kernel, the f16 quantization sweep and the attention
+// core (score dot products and value sums) exist in three tiers — SSE (the
+// portable reference), AVX2+F16C, and AVX-512F — compiled as separate
+// arch-flagged translation units (tensor/kernels_avx2.cpp,
 // tensor/kernels_avx512.cpp) and selected at runtime from a cpuid probe.
 // The `FT2_KERNEL` environment variable (or `ft2 --kernel`) forces a tier.
 //
@@ -12,7 +13,13 @@
 // the column tile — which output elements are grouped into one register —
 // never the per-element operation sequence, so all tiers produce results
 // bit-identical to the scalar/SSE reference and no baselines need re-pinning
-// per tier. The arch TUs are compiled with -ffp-contract=off as a belt.
+// per tier. The attention kernels follow the same rule: a vector lane
+// carries one key's score chain, or one output column's value-sum chain.
+// The arch TUs are compiled with -ffp-contract=off as a belt. One thing no
+// tier pins is a NaN's sign and payload when two NaNs meet in an add or
+// multiply: the survivor follows the instruction's operand order, which
+// the compiler picks (it commutes the scalar reference's operands too).
+// NaN stays NaN on every tier.
 //
 // The kernels also carry an optional fused store epilogue (KernelEpilogue):
 // f16-grid quantization plus the protection sweep (NaN→0, out-of-bound
@@ -118,6 +125,23 @@ struct KernelOps {
   void (*epilogue_span)(float* v, std::size_t n, std::size_t flat0,
                         const KernelEpilogue& epi,
                         EpilogueTally* tally) = nullptr;
+
+  /// Attention scores of one head over `len` keys: for each j,
+  /// s[j] = dot * scale, where dot starts at 0.0f and adds q[d] * k_j[d]
+  /// for ascending d < head_dim (multiply, then add), and k_j is
+  /// k_rows[j] + off. Wider tiers run one key per vector lane.
+  void (*attn_scores)(const float* q, const float* const* k_rows,
+                      std::size_t off, std::size_t len, std::size_t head_dim,
+                      float scale, float* s) = nullptr;
+
+  /// Value sum of one head: out[d] += p[j] * v_j[d] for d < head_dim, over
+  /// ascending j < len, where v_j is v_rows[j] + off. A j with
+  /// p[j] == 0.0f is skipped: an inf or NaN value row behind a zero weight
+  /// (a corrupted cache) leaves `out` untouched instead of turning it NaN.
+  /// Wider tiers run one output column per vector lane.
+  void (*attn_value_sum)(const float* p, const float* const* v_rows,
+                         std::size_t off, std::size_t len,
+                         std::size_t head_dim, float* out) = nullptr;
 };
 
 /// The currently selected tier's function table. First use probes the CPU
@@ -158,8 +182,8 @@ namespace detail {
 
 /// The scalar reference epilogue (quantize + protect, one pass). Defined in
 /// dispatch.cpp — compiled with baseline flags — and shared by every tier:
-/// the SSE tier uses it directly; the AVX2/AVX-512 tiers call it for lane
-/// groups containing NaN/out-of-bound values and for tile tails, keeping
+/// the SSE tier uses it directly; the AVX2/AVX-512 tiers call it for the
+/// live lanes of a lane group containing NaN/out-of-bound values, keeping
 /// all std:: machinery out of the arch-flagged TUs.
 void epilogue_scalar_span(float* v, std::size_t n, std::size_t flat0,
                           const KernelEpilogue& epi, EpilogueTally* tally);

@@ -1,7 +1,8 @@
-// AVX2 + F16C dispatch tier: 32-column GEMM tiles and an 8-wide fused
-// store epilogue. Compiled with -mavx2 -mf16c -ffp-contract=off (see
-// src/CMakeLists.txt); when those flags are unavailable this TU degrades to
-// a stub returning nullptr and the dispatcher falls back to the SSE tier.
+// AVX2 + F16C dispatch tier: 32-column GEMM tiles, an 8-wide fused store
+// epilogue and 8-lane attention kernels. Compiled with -mavx2 -mf16c
+// -ffp-contract=off (see src/CMakeLists.txt); when those flags are
+// unavailable this TU degrades to a stub returning nullptr and the
+// dispatcher falls back to the SSE tier.
 //
 // ODR note: because this TU is built with arch flags the rest of the build
 // lacks, it must not instantiate any vague-linkage code (templates,
@@ -46,15 +47,33 @@ inline __m256 quantize8(__m256 v) {
   return q;
 }
 
-/// Applies `epi` to 8 raw accumulator lanes and stores them to y. The fast
-/// path quantizes and screens in-register; any group containing a NaN or
-/// out-of-bound lane re-runs the scalar reference epilogue on the raw
-/// (pre-quantize) lanes, so tallies, events and corrected values are
-/// bit-identical to the scalar path.
+/// Lane mask for the first `n` of 8 lanes (maskload/maskstore form).
+inline __m256i live_mask8(std::size_t n) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/// Stores the first `n` of 8 lanes to y.
+inline void store_live8(float* y, __m256 v, std::size_t n) {
+  if (n == 8) {
+    _mm256_storeu_ps(y, v);
+  } else {
+    _mm256_maskstore_ps(y, live_mask8(n), v);
+  }
+}
+
+/// Applies `epi` to 8 raw accumulator lanes and stores the first `n` of
+/// them to y. The fast path quantizes and screens in-register; any group
+/// whose live lanes contain a NaN or out-of-bound value re-runs the scalar
+/// reference epilogue on the raw (pre-quantize) live lanes, so tallies,
+/// events and corrected values are bit-identical to the scalar path. Lanes
+/// past `n` are neither stored nor screened, so they are never counted,
+/// clipped or recorded.
 inline void store8(__m256 acc, float* y, std::size_t flat0,
-                   const KernelEpilogue* epi, EpilogueTally* tally) {
+                   const KernelEpilogue* epi, EpilogueTally* tally,
+                   std::size_t n = 8) {
   if (epi == nullptr) {
-    _mm256_storeu_ps(y, acc);
+    store_live8(y, acc, n);
     return;
   }
   const __m256 q = epi->quantize ? quantize8(acc) : acc;
@@ -70,16 +89,16 @@ inline void store8(__m256 acc, float* y, std::size_t flat0,
       // quantized lane already carries the canonical NaN) — not dirty.
       bad = epi->correct_nan ? _mm256_or_ps(oob, unord) : oob;
     }
-    dirty = _mm256_movemask_ps(bad);
+    dirty = _mm256_movemask_ps(bad) & ((1 << n) - 1);
   }
   if (dirty == 0) {
-    _mm256_storeu_ps(y, q);
+    store_live8(y, q, n);
     return;
   }
   float lanes[8];
   _mm256_storeu_ps(lanes, acc);
-  detail::epilogue_scalar_span(lanes, 8, flat0, *epi, tally);
-  _mm256_storeu_ps(y, _mm256_loadu_ps(lanes));
+  detail::epilogue_scalar_span(lanes, n, flat0, *epi, tally);
+  store_live8(y, _mm256_loadu_ps(lanes), n);
 }
 
 void kouter_row_avx2(const float* x, const float* wt, std::size_t k,
@@ -98,23 +117,11 @@ void kouter_row_avx2(const float* x, const float* wt, std::size_t k,
     a2 = _mm256_add_ps(a2, _mm256_mul_ps(xi, _mm256_loadu_ps(wr + 16)));
     a3 = _mm256_add_ps(a3, _mm256_mul_ps(xi, _mm256_loadu_ps(wr + 24)));
   }
-  if (width == kTileCols) {
-    store8(a0, y, flat0, epi, tally);
-    store8(a1, y + 8, flat0 + 8, epi, tally);
-    store8(a2, y + 16, flat0 + 16, epi, tally);
-    store8(a3, y + 24, flat0 + 24, epi, tally);
-    return;
+  const __m256 a[4] = {a0, a1, a2, a3};
+  for (std::size_t c = 0; c * 8 < width; ++c) {
+    store8(a[c], y + c * 8, flat0 + c * 8, epi, tally,
+           width - c * 8 < 8 ? width - c * 8 : 8);
   }
-  // Tail tile: spill, run the scalar epilogue over the live lanes, copy out.
-  float acc[kTileCols];
-  _mm256_storeu_ps(acc, a0);
-  _mm256_storeu_ps(acc + 8, a1);
-  _mm256_storeu_ps(acc + 16, a2);
-  _mm256_storeu_ps(acc + 24, a3);
-  if (epi != nullptr) {
-    detail::epilogue_scalar_span(acc, width, flat0, *epi, tally);
-  }
-  for (std::size_t j = 0; j < width; ++j) y[j] = acc[j];
 }
 
 void epilogue_span_avx2(float* v, std::size_t n, std::size_t flat0,
@@ -123,11 +130,126 @@ void epilogue_span_avx2(float* v, std::size_t n, std::size_t flat0,
   for (; i + 8 <= n; i += 8) {
     store8(_mm256_loadu_ps(v + i), v + i, flat0 + i, &epi, tally);
   }
-  if (i < n) detail::epilogue_scalar_span(v + i, n - i, flat0 + i, epi, tally);
+  if (i < n) {
+    store8(_mm256_maskload_ps(v + i, live_mask8(n - i)), v + i, flat0 + i,
+           &epi, tally, n - i);
+  }
 }
 
-constexpr KernelOps kAvx2Ops{KernelTier::kAvx2, "avx2", kTileCols,
-                             &kouter_row_avx2, &epilogue_span_avx2};
+/// In-register 8x8 transpose: afterwards r[c] lane i holds what r[i] lane
+/// c held.
+inline void transpose8(__m256 r[8]) {
+  __m256 t[8];
+  for (int i = 0; i < 8; i += 2) {
+    t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+    t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+  }
+  // s[4h + c]: rows 4h..4h+3 of column 4L + c in 128-bit lane L.
+  __m256 s[8];
+  for (int h = 0; h < 8; h += 4) {
+    s[h] = _mm256_shuffle_ps(t[h], t[h + 2], 0x44);
+    s[h + 1] = _mm256_shuffle_ps(t[h], t[h + 2], 0xEE);
+    s[h + 2] = _mm256_shuffle_ps(t[h + 1], t[h + 3], 0x44);
+    s[h + 3] = _mm256_shuffle_ps(t[h + 1], t[h + 3], 0xEE);
+  }
+  for (int c = 0; c < 4; ++c) {
+    r[c] = _mm256_permute2f128_ps(s[c], s[4 + c], 0x20);
+    r[4 + c] = _mm256_permute2f128_ps(s[c], s[4 + c], 0x31);
+  }
+}
+
+/// Scores of 8 keys per pass, one key's dot-product chain per lane: the
+/// q[d] * k_j[d] products of 8 keys are transposed so that each add step
+/// extends all 8 chains by the same d. A short last group re-reads the
+/// first key's row in its padding lanes, which are never stored.
+void attn_scores_avx2(const float* q, const float* const* k_rows,
+                      std::size_t off, std::size_t len, std::size_t head_dim,
+                      float scale, float* s) {
+  const __m256 vscale = _mm256_set1_ps(scale);
+  for (std::size_t j0 = 0; j0 < len; j0 += 8) {
+    const std::size_t keys = len - j0 < 8 ? len - j0 : 8;
+    const float* pad[8];
+    const float* const* rows = k_rows + j0;
+    if (keys < 8) {
+      for (std::size_t l = 0; l < 8; ++l) pad[l] = rows[l < keys ? l : 0];
+      rows = pad;
+    }
+    __m256 acc = _mm256_setzero_ps();
+    for (std::size_t d0 = 0; d0 < head_dim; d0 += 8) {
+      const std::size_t dn = head_dim - d0 < 8 ? head_dim - d0 : 8;
+      __m256 t[8];
+      if (dn == 8) {
+        const __m256 qv = _mm256_loadu_ps(q + d0);
+        for (std::size_t l = 0; l < 8; ++l) {
+          t[l] = _mm256_mul_ps(qv, _mm256_loadu_ps(rows[l] + off + d0));
+        }
+      } else {
+        const __m256i m = live_mask8(dn);
+        const __m256 qv = _mm256_maskload_ps(q + d0, m);
+        for (std::size_t l = 0; l < 8; ++l) {
+          t[l] = _mm256_mul_ps(qv,
+                               _mm256_maskload_ps(rows[l] + off + d0, m));
+        }
+      }
+      transpose8(t);
+      for (std::size_t d = 0; d < dn; ++d) acc = _mm256_add_ps(acc, t[d]);
+    }
+    store_live8(s + j0, _mm256_mul_ps(acc, vscale), keys);
+  }
+}
+
+/// Value sum over columns [d0, d0 + 8 * N) of the head, N accumulators of
+/// 8 columns, the last one masked to the head's remaining width.
+template <std::size_t N>
+void value_sum_cols(const float* p, const float* const* v_rows,
+                    std::size_t off, std::size_t len, std::size_t cols,
+                    float* out) {
+  __m256i m[N];
+  __m256 acc[N];
+  for (std::size_t c = 0; c < N; ++c) {
+    m[c] = live_mask8(cols - c * 8 < 8 ? cols - c * 8 : 8);
+    acc[c] = _mm256_maskload_ps(out + c * 8, m[c]);
+  }
+  for (std::size_t j = 0; j < len; ++j) {
+    if (p[j] == 0.0f) continue;
+    const __m256 pj = _mm256_set1_ps(p[j]);
+    const float* vh = v_rows[j] + off;
+    for (std::size_t c = 0; c < N; ++c) {
+      acc[c] = _mm256_add_ps(
+          acc[c], _mm256_mul_ps(pj, _mm256_maskload_ps(vh + c * 8, m[c])));
+    }
+  }
+  for (std::size_t c = 0; c < N; ++c) {
+    _mm256_maskstore_ps(out + c * 8, m[c], acc[c]);
+  }
+}
+
+void attn_value_sum_avx2(const float* p, const float* const* v_rows,
+                         std::size_t off, std::size_t len,
+                         std::size_t head_dim, float* out) {
+  for (std::size_t d0 = 0; d0 < head_dim; d0 += 32) {
+    const std::size_t cols = head_dim - d0 < 32 ? head_dim - d0 : 32;
+    switch ((cols + 7) / 8) {
+      case 1:
+        value_sum_cols<1>(p, v_rows, off + d0, len, cols, out + d0);
+        break;
+      case 2:
+        value_sum_cols<2>(p, v_rows, off + d0, len, cols, out + d0);
+        break;
+      case 3:
+        value_sum_cols<3>(p, v_rows, off + d0, len, cols, out + d0);
+        break;
+      default:
+        value_sum_cols<4>(p, v_rows, off + d0, len, cols, out + d0);
+        break;
+    }
+  }
+}
+
+constexpr KernelOps kAvx2Ops{KernelTier::kAvx2,    "avx2",
+                             kTileCols,           &kouter_row_avx2,
+                             &epilogue_span_avx2, &attn_scores_avx2,
+                             &attn_value_sum_avx2};
 
 }  // namespace
 

@@ -413,14 +413,14 @@ void rope_backward_rows(const ModelConfig& cfg, Tensor& d) {
   const std::size_t half = hd / 2;
   for (std::size_t pos = 0; pos < d.dim(0); ++pos) {
     auto row = d.row(pos);
-    for (std::size_t h = 0; h < heads; ++h) {
-      float* head = row.data() + h * hd;
-      for (std::size_t i = 0; i < half; ++i) {
-        const float freq = std::pow(
-            cfg.rope_theta, -static_cast<float>(2 * i) / static_cast<float>(hd));
-        const float angle = static_cast<float>(pos) * freq;
-        const float c = std::cos(angle);
-        const float s = std::sin(angle);
+    for (std::size_t i = 0; i < half; ++i) {
+      const float freq = std::pow(
+          cfg.rope_theta, -static_cast<float>(2 * i) / static_cast<float>(hd));
+      const float angle = static_cast<float>(pos) * freq;
+      const float c = std::cos(angle);
+      const float s = std::sin(angle);
+      for (std::size_t h = 0; h < heads; ++h) {
+        float* head = row.data() + h * hd;
         const float a = head[i];
         const float b = head[i + half];
         head[i] = a * c + b * s;

@@ -1,11 +1,11 @@
 // Runtime-dispatch tier equivalence (tensor/dispatch.hpp).
 //
 // The bit-exactness policy says every kernel tier — SSE reference, AVX2,
-// AVX-512 — produces bit-identical GEMM results, quantization grids and
-// fused-epilogue outcomes. These tests pin that promise on whatever tiers
-// the host supports; tiers the host cannot run are skipped with a reason
-// (the per-tier TESTs exist so a skip is visible in ctest output rather
-// than silently shrinking a loop).
+// AVX-512 — produces bit-identical GEMM results, quantization grids,
+// fused-epilogue outcomes and attention scores and value sums. These tests
+// pin that promise on whatever tiers the host supports; tiers the host
+// cannot run are skipped with a reason (the per-tier TESTs exist so a skip
+// is visible in ctest output rather than silently shrinking a loop).
 #include "tensor/dispatch.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/ft2.hpp"
 #include "numeric/f16.hpp"
 #include "protect/range_restriction.hpp"
 #include "tensor/ops.hpp"
@@ -415,6 +416,329 @@ TEST(KernelTierEquivalence, PackedTilesServeEveryTier) {
               << "packed under " << kernel_tier_name(pack_tier)
               << ", run under " << kernel_tier_name(run_tier) << ": element "
               << i << " (n=" << shape.n << " k=" << shape.k << ")";
+        }
+      }
+    }
+  }
+}
+
+/// epilogue_span over every length 1–47 (every vector tail on every tier)
+/// in every protect mode, with NaN and out-of-bound values among the live
+/// elements: values, tallies and events equal the scalar reference over
+/// the same n elements, and the elements past n — which hold NaNs and
+/// out-of-bound values too — are neither touched, counted nor recorded.
+TEST(KernelTierEquivalence, EpilogueTailsEveryLength) {
+  TierGuard guard;
+  using Protect = KernelEpilogue::Protect;
+  Xoshiro256 rng(71);
+  for (KernelTier tier : supported_kernel_tiers()) {
+    set_kernel_tier(tier);
+    for (const Protect protect : {Protect::kNone, Protect::kNanOnly,
+                                  Protect::kBounds, Protect::kFirstToken}) {
+      for (const bool quantize : {false, true}) {
+        KernelEpilogue epi;
+        epi.quantize = quantize;
+        epi.protect = protect;
+        epi.correct_nan = true;
+        epi.lo = -2.0f;
+        epi.hi = 2.0f;
+        epi.lo_sub = -2.0f;
+        epi.hi_sub = 2.0f;
+        epi.record_events = true;
+        for (std::size_t n = 1; n <= 47; ++n) {
+          std::vector<float> input(n + 16);
+          for (float& f : input) f = rng.uniform_float(-2.5f, 2.5f);
+          for (std::size_t i = n % 7; i < input.size(); i += 7) {
+            input[i] = std::numeric_limits<float>::quiet_NaN();
+          }
+          for (std::size_t i = n; i < input.size(); i += 2) {
+            input[i] = std::numeric_limits<float>::quiet_NaN();
+          }
+          std::vector<float> expect = input;
+          EpilogueTally ref;
+          detail::epilogue_scalar_span(expect.data(), n, 5, epi, &ref);
+          std::vector<float> got = input;
+          EpilogueTally tally;
+          active_kernel_ops().epilogue_span(got.data(), n, 5, epi, &tally);
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(f32_bits(got[i]), f32_bits(expect[i]))
+                << kernel_tier_name(tier) << " element " << i << " of n " << n
+                << " protect " << static_cast<int>(protect) << " quantize "
+                << quantize;
+          }
+          EXPECT_EQ(tally.nan, ref.nan);
+          EXPECT_EQ(tally.oob, ref.oob);
+          ASSERT_EQ(tally.events.size(), ref.events.size());
+          for (std::size_t e = 0; e < ref.events.size(); ++e) {
+            EXPECT_EQ(tally.events[e].index, ref.events[e].index);
+            EXPECT_EQ(f32_bits(tally.events[e].original),
+                      f32_bits(ref.events[e].original));
+          }
+        }
+      }
+    }
+  }
+}
+
+// --- Attention kernels ------------------------------------------------------
+//
+// attn_scores and attn_value_sum run one scalar chain per vector lane on
+// the wide tiers; these tests demand equality with the documented chains
+// over every head_dim the model zoo and tests use, every length 1-80 (all
+// key-group tails), and K/V rows holding NaN, +-inf, +-0 and subnormals.
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+/// Bit-equality, except that a NaN only has to meet a NaN: when two NaN
+/// operands meet, which payload survives follows the operand order of the
+/// add or multiply instruction, and C++ leaves that order to the compiler
+/// (the scalar reference itself commutes them), so no tier promises a NaN
+/// payload or sign.
+bool same_value(float got, float expect) {
+  if (std::isnan(expect)) return std::isnan(got);
+  return f32_bits(got) == f32_bits(expect);
+}
+
+/// A K/V element: mostly ordinary values, sometimes one of the values a
+/// fault can leave behind.
+float adversarial_element(Xoshiro256& rng) {
+  switch (rng() % 16) {
+    case 0: return std::numeric_limits<float>::quiet_NaN();
+    case 1: return f32_from_bits(0xFFC01234u);  // negative NaN, payload
+    case 2: return kInf;
+    case 3: return -kInf;
+    case 4: return 0.0f;
+    case 5: return -0.0f;
+    case 6: return f32_from_bits(0x00000123u);  // subnormal
+    case 7: return -f32_from_bits(0x007FFFFFu);  // largest subnormal
+    default: return rng.uniform_float(-3.0f, 3.0f);
+  }
+}
+
+/// `len` rows of `width` floats, each its own allocation (as paged and
+/// forked caches hand out rows from unrelated buffers).
+struct Rows {
+  std::vector<std::vector<float>> data;
+  std::vector<const float*> ptrs;
+
+  Rows(std::size_t len, std::size_t width, Xoshiro256& rng, bool clean) {
+    data.resize(len);
+    for (auto& row : data) {
+      row.resize(width);
+      for (float& f : row) {
+        f = clean ? rng.uniform_float(-2.0f, 2.0f) : adversarial_element(rng);
+      }
+      ptrs.push_back(row.data());
+    }
+  }
+};
+
+void scores_ref(const float* q, const float* const* k, std::size_t off,
+                std::size_t len, std::size_t head_dim, float scale,
+                float* s) {
+  for (std::size_t j = 0; j < len; ++j) {
+    float dot = 0.0f;
+    for (std::size_t d = 0; d < head_dim; ++d) dot += q[d] * k[j][off + d];
+    s[j] = dot * scale;
+  }
+}
+
+void value_sum_ref(const float* p, const float* const* v, std::size_t off,
+                   std::size_t len, std::size_t head_dim, float* out) {
+  for (std::size_t j = 0; j < len; ++j) {
+    if (p[j] == 0.0f) continue;
+    for (std::size_t d = 0; d < head_dim; ++d) out[d] += p[j] * v[j][off + d];
+  }
+}
+
+constexpr std::size_t kHeadDims[] = {8, 12, 16, 32, 64};
+constexpr std::size_t kMaxLen = 80;
+
+/// Scores of head 1 of a two-head row (so `off` is exercised), for every
+/// head_dim and length, clean and adversarial keys.
+void expect_scores_bit_exact(KernelTier tier) {
+  TierGuard guard;
+  set_kernel_tier(tier);
+  const KernelOps& ops = active_kernel_ops();
+  Xoshiro256 rng(61);
+  for (const std::size_t hd : kHeadDims) {
+    const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+    for (const bool clean : {true, false}) {
+      const Rows keys(kMaxLen, 2 * hd, rng, clean);
+      std::vector<float> q(hd);
+      for (float& f : q) f = rng.uniform_float(-2.0f, 2.0f);
+      if (!clean) q[hd / 2] = -0.0f;
+      for (std::size_t len = 1; len <= kMaxLen; ++len) {
+        std::vector<float> expect(len), got(len + 16, 7.0f);
+        scores_ref(q.data(), keys.ptrs.data(), hd, len, hd, scale,
+                   expect.data());
+        ops.attn_scores(q.data(), keys.ptrs.data(), hd, len, hd, scale,
+                        got.data());
+        for (std::size_t j = 0; j < len; ++j) {
+          ASSERT_TRUE(same_value(got[j], expect[j]))
+              << got[j] << " vs " << expect[j] << ": "
+              << kernel_tier_name(tier) << " score " << j << " of len " << len
+              << " head_dim " << hd << (clean ? " clean" : " adversarial");
+        }
+        for (std::size_t j = len; j < got.size(); ++j) {
+          ASSERT_EQ(got[j], 7.0f) << "wrote past len " << len;
+        }
+      }
+    }
+  }
+}
+
+/// Value sums of head 1 of a two-head row into a non-zero accumulator, with
+/// zero (and negative-zero) weights in front of inf/NaN value rows.
+void expect_value_sum_bit_exact(KernelTier tier) {
+  TierGuard guard;
+  set_kernel_tier(tier);
+  const KernelOps& ops = active_kernel_ops();
+  Xoshiro256 rng(67);
+  for (const std::size_t hd : kHeadDims) {
+    for (const bool clean : {true, false}) {
+      Rows values(kMaxLen, 2 * hd, rng, clean);
+      std::vector<float> p(kMaxLen);
+      for (std::size_t j = 0; j < kMaxLen; ++j) {
+        p[j] = rng() % 4 == 0 ? 0.0f : rng.uniform_float(0.0f, 1.0f);
+      }
+      // A zero weight in front of an all-inf row and a negative zero in
+      // front of an all-NaN row: both must be skipped, not turn out NaN.
+      p[2] = 0.0f;
+      p[5] = -0.0f;
+      for (float& f : values.data[2]) f = kInf;
+      for (float& f : values.data[5]) {
+        f = std::numeric_limits<float>::quiet_NaN();
+      }
+      for (std::size_t len = 1; len <= kMaxLen; ++len) {
+        std::vector<float> expect(hd + 16), got;
+        for (float& f : expect) f = rng.uniform_float(-1.0f, 1.0f);
+        got = expect;
+        value_sum_ref(p.data(), values.ptrs.data(), hd, len, hd,
+                      expect.data());
+        ops.attn_value_sum(p.data(), values.ptrs.data(), hd, len, hd,
+                           got.data());
+        for (std::size_t d = 0; d < expect.size(); ++d) {
+          ASSERT_TRUE(same_value(got[d], expect[d]))
+              << got[d] << " vs " << expect[d] << ": "
+              << kernel_tier_name(tier) << " column " << d << " of len "
+              << len << " head_dim " << hd
+              << (clean ? " clean" : " adversarial");
+        }
+        if (clean && len > 5) {
+          for (std::size_t d = 0; d < hd; ++d) {
+            ASSERT_FALSE(std::isnan(got[d])) << "zero weight not skipped";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelTierEquivalence, AttentionScoresSse) {
+  expect_scores_bit_exact(KernelTier::kSse);
+}
+
+TEST(KernelTierEquivalence, AttentionScoresAvx2) {
+  FT2_REQUIRE_TIER(KernelTier::kAvx2);
+  expect_scores_bit_exact(KernelTier::kAvx2);
+}
+
+TEST(KernelTierEquivalence, AttentionScoresAvx512) {
+  FT2_REQUIRE_TIER(KernelTier::kAvx512);
+  expect_scores_bit_exact(KernelTier::kAvx512);
+}
+
+TEST(KernelTierEquivalence, AttentionValueSumSse) {
+  expect_value_sum_bit_exact(KernelTier::kSse);
+}
+
+TEST(KernelTierEquivalence, AttentionValueSumAvx2) {
+  FT2_REQUIRE_TIER(KernelTier::kAvx2);
+  expect_value_sum_bit_exact(KernelTier::kAvx2);
+}
+
+TEST(KernelTierEquivalence, AttentionValueSumAvx512) {
+  FT2_REQUIRE_TIER(KernelTier::kAvx512);
+  expect_value_sum_bit_exact(KernelTier::kAvx512);
+}
+
+TransformerLM head_dim16_model(ArchFamily arch) {
+  ModelConfig c;
+  c.arch = arch;
+  c.vocab_size = Vocab::shared().size();
+  c.d_model = 32;
+  c.n_heads = 2;
+  c.n_blocks = 2;
+  c.d_ff = 48;
+  c.max_seq = 64;
+  if (arch == ArchFamily::kLlama) {
+    c.activation = Activation::kSilu;
+    c.norm = NormKind::kRmsNorm;
+    c.position = PositionKind::kRotary;
+    c.linear_bias = false;
+  } else {
+    c.activation = Activation::kRelu;
+    c.norm = NormKind::kLayerNorm;
+    c.position = PositionKind::kLearned;
+    c.linear_bias = true;
+  }
+  Xoshiro256 rng(43);
+  return TransformerLM(c, init_weights(c, rng));
+}
+
+/// Prefill logits of three prompts (lengths straddling the 8- and 16-key
+/// groups) and one batched decode step over their caches.
+std::vector<float> forward_logits(const TransformerLM& model, bool fp16) {
+  const std::size_t vocab = model.config().vocab_size;
+  const ExecConfig exec{fp16};
+  HookChain hooks;
+  Workspace ws(model.config());
+  const std::size_t lens[] = {17, 33, 40};
+  std::vector<KvCache> caches;
+  std::vector<float> out;
+  std::vector<float> logits(3 * vocab);
+  for (std::size_t s = 0; s < 3; ++s) {
+    std::vector<int> prompt = {Vocab::kBos};
+    for (std::size_t i = 1; i < lens[s]; ++i) {
+      prompt.push_back(static_cast<int>((i * 5 + s * 11 + 1) % vocab));
+    }
+    caches.push_back(model.make_cache());
+    const std::span<float> row{logits.data() + s * vocab, vocab};
+    for (std::size_t p = 0; p < prompt.size(); p += 16) {
+      const std::size_t n = std::min<std::size_t>(16, prompt.size() - p);
+      const bool last = p + n == prompt.size();
+      model.forward_span(std::span<const int>(prompt).subspan(p, n), p,
+                         caches.back(), hooks, exec, true, ws,
+                         last ? row : std::span<float>{});
+    }
+  }
+  out.insert(out.end(), logits.begin(), logits.end());
+  std::vector<DecodeSlot> slots;
+  for (std::size_t s = 0; s < 3; ++s) {
+    slots.push_back(DecodeSlot{static_cast<int>(s + 4), lens[s], &caches[s],
+                               &hooks, {logits.data() + s * vocab, vocab}});
+  }
+  model.forward_batch(slots, exec, ws);
+  out.insert(out.end(), logits.begin(), logits.end());
+  return out;
+}
+
+TEST(KernelTierEquivalence, AttentionForwardHeadDim16) {
+  TierGuard guard;
+  for (const ArchFamily arch : {ArchFamily::kOpt, ArchFamily::kLlama}) {
+    const TransformerLM model = head_dim16_model(arch);
+    ASSERT_EQ(model.config().head_dim(), 16u);
+    for (const bool fp16 : {false, true}) {
+      set_kernel_tier(KernelTier::kSse);
+      const std::vector<float> ref = forward_logits(model, fp16);
+      for (KernelTier tier : supported_kernel_tiers()) {
+        set_kernel_tier(tier);
+        const std::vector<float> got = forward_logits(model, fp16);
+        ASSERT_EQ(got.size(), ref.size());
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+          ASSERT_EQ(f32_bits(got[i]), f32_bits(ref[i]))
+              << kernel_tier_name(tier) << " logit " << i << " fp16 " << fp16;
         }
       }
     }

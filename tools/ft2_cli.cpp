@@ -42,12 +42,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <thread>
 
@@ -1369,12 +1372,56 @@ int kernel_check() {
       if (f32_bits(q[i]) != f32_bits(q_ref[i])) ++quant_bad;
     }
 
-    if (gemm_bad != 0 || quant_bad != 0) {
+    // Attention: scores and value sums of head 1 of a two-head row against
+    // the scalar chains, at head_dim 12 and 16 over every length 1-40 (every
+    // key-group tail). Key 3's value row is inf behind a zero weight, which
+    // the value sum must skip.
+    std::size_t attn_bad = 0;
+    for (const std::size_t hd : {std::size_t{12}, std::size_t{16}}) {
+      const std::size_t len_max = 40;
+      std::vector<float> kv(2 * len_max * 2 * hd), qv(hd), p(len_max);
+      for (float& v : kv) v = next_float();
+      for (float& v : qv) v = next_float();
+      for (float& v : p) v = std::abs(next_float()) / 4.0f;
+      p[3] = 0.0f;
+      std::vector<const float*> keys(len_max), values(len_max);
+      for (std::size_t j = 0; j < len_max; ++j) {
+        keys[j] = kv.data() + j * 2 * hd;
+        values[j] = kv.data() + (len_max + j) * 2 * hd;
+      }
+      std::fill_n(kv.data() + (len_max + 3) * 2 * hd, 2 * hd,
+                  std::numeric_limits<float>::infinity());
+      const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+      for (std::size_t len = 1; len <= len_max; ++len) {
+        std::vector<float> s(len), out(hd, 0.5f), out_ref(hd, 0.5f);
+        active_kernel_ops().attn_scores(qv.data(), keys.data(), hd, len, hd,
+                                        scale, s.data());
+        active_kernel_ops().attn_value_sum(p.data(), values.data(), hd, len,
+                                           hd, out.data());
+        for (std::size_t j = 0; j < len; ++j) {
+          float dot = 0.0f;
+          for (std::size_t d = 0; d < hd; ++d) dot += qv[d] * keys[j][hd + d];
+          if (f32_bits(s[j]) != f32_bits(dot * scale)) ++attn_bad;
+          if (p[j] == 0.0f) continue;
+          for (std::size_t d = 0; d < hd; ++d) {
+            out_ref[d] += p[j] * values[j][hd + d];
+          }
+        }
+        for (std::size_t d = 0; d < hd; ++d) {
+          if (f32_bits(out[d]) != f32_bits(out_ref[d])) ++attn_bad;
+        }
+      }
+    }
+
+    if (gemm_bad != 0 || quant_bad != 0 || attn_bad != 0) {
       ++failures;
       std::cout << name << ": FAIL (" << gemm_bad << " gemm mismatches, "
-                << quant_bad << " quantize mismatches)\n";
+                << quant_bad << " quantize mismatches, " << attn_bad
+                << " attention mismatches)\n";
     } else {
-      std::cout << name << ": OK (gemm + packed gemm + quantize bit-exact)\n";
+      std::cout << name
+                << ": OK (gemm + packed gemm + quantize + attention "
+                   "bit-exact)\n";
     }
   }
   set_kernel_tier(restore);
