@@ -1,7 +1,6 @@
 // Per-block key/value cache for incremental decoding.
 #pragma once
 
-#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -272,35 +271,6 @@ class KvCache {
     }
     return pos < prefix_len_ ? prefix_->values_[block].row(pos)
                              : values_[block].row(pos - prefix_len_);
-  }
-
-  /// Resolves the key and value rows of positions [0, n) of block `block`
-  /// into `keys[pos]` / `values[pos]`: the same rows key() and value()
-  /// return, looked up once per position in one walk of the storage.
-  void row_pointers(std::size_t block, std::size_t n, const float** keys,
-                    const float** values) const {
-    FT2_ASSERT(n <= max_seq_);
-    if (pool_ != nullptr) {
-      for (std::size_t pos = 0; pos < n; pos += block_rows_) {
-        const BlockId b = table_[pos / block_rows_];
-        const float* k = pool_->key_row(block, b, 0).data();
-        const float* v = pool_->value_row(block, b, 0).data();
-        const std::size_t rows = std::min(block_rows_, n - pos);
-        for (std::size_t r = 0; r < rows; ++r) {
-          keys[pos + r] = k + r * d_model_;
-          values[pos + r] = v + r * d_model_;
-        }
-      }
-      return;
-    }
-    for (std::size_t pos = 0; pos < n; ++pos) {
-      const bool shared = pos < prefix_len_;
-      const Tensor& k = shared ? prefix_->keys_[block] : keys_[block];
-      const Tensor& v = shared ? prefix_->values_[block] : values_[block];
-      const std::size_t row = shared ? pos : pos - prefix_len_;
-      keys[pos] = k.data() + row * d_model_;
-      values[pos] = v.data() + row * d_model_;
-    }
   }
 
   /// Bytes of K/V storage mapped by this cache. Plain mode: the dense

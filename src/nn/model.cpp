@@ -313,9 +313,12 @@ void TransformerLM::attention(const ForwardPass& p,
   // prefixes of them.
   for (std::size_t si = 0; si < p.segs.size(); ++si) {
     const RowSegment& s = p.segs[si];
-    const float** rows = ws.kv_rows.data() + si * 2 * config_.max_seq;
-    s.cache->row_pointers(block_idx, s.pos0 + s.tokens.size(), rows,
-                          rows + config_.max_seq);
+    const float** keys = ws.kv_rows.data() + si * 2 * config_.max_seq;
+    const float** values = keys + config_.max_seq;
+    for (std::size_t pos = 0; pos < s.pos0 + s.tokens.size(); ++pos) {
+      keys[pos] = s.cache->key(block_idx, pos).data();
+      values[pos] = s.cache->value(block_idx, pos).data();
+    }
   }
 
   // One independent task per row; each reads only its own sequence's cache.

@@ -57,7 +57,7 @@ struct Workspace {
   Tensor final_h;   // [cap, d]
   Tensor logits;    // [cap, vocab] LM head, one row per segment
   /// K/V row pointers for the block being run: per segment of the call,
-  /// max_seq key rows then max_seq value rows (KvCache::row_pointers).
+  /// max_seq key rows then max_seq value rows (KvCache::key/value).
   /// Sized for one segment; grows to the most segments a call has had.
   std::vector<const float*> kv_rows;
 

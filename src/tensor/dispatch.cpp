@@ -178,7 +178,8 @@ bool cpu_has_avx2_f16c() {
 
 bool cpu_has_avx512f() {
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-  return __builtin_cpu_supports("avx512f") != 0;
+  // The AVX-512 tier runs the AVX2 tier's attention kernels.
+  return __builtin_cpu_supports("avx512f") && cpu_has_avx2_f16c();
 #else
   return false;
 #endif

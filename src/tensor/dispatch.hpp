@@ -188,6 +188,17 @@ namespace detail {
 void epilogue_scalar_span(float* v, std::size_t n, std::size_t flat0,
                           const KernelEpilogue& epi, EpilogueTally* tally);
 
+/// The AVX2 tier's attention kernels (KernelOps::attn_scores and
+/// attn_value_sum), defined in kernels_avx2.cpp. The AVX-512 tier's table
+/// points at them too; they exist only when that TU is built with its
+/// arch flags, which src/CMakeLists.txt requires for the AVX-512 TU.
+void attn_scores_avx2(const float* q, const float* const* k_rows,
+                      std::size_t off, std::size_t len, std::size_t head_dim,
+                      float scale, float* s);
+void attn_value_sum_avx2(const float* p, const float* const* v_rows,
+                         std::size_t off, std::size_t len,
+                         std::size_t head_dim, float* out);
+
 /// Arch-TU registration points: each returns its function table, or null
 /// when the TU was compiled without the matching -m flags.
 const KernelOps* kernel_ops_avx2();

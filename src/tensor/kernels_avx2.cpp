@@ -8,8 +8,9 @@
 // lacks, it must not instantiate any vague-linkage code (templates,
 // header-inline std:: machinery) that another TU also instantiates — the
 // linker could pick the AVX2 copy and crash pre-AVX2 hosts. Everything here
-// is file-local intrinsic code; slow paths call the extern, baseline-built
-// ft2::detail::epilogue_scalar_span.
+// is file-local intrinsic code except the two attention kernels, plain
+// extern functions the AVX-512 tier's table also points at; slow paths call
+// the extern, baseline-built ft2::detail::epilogue_scalar_span.
 //
 // Bit-exactness: the accumulator update is mul-then-add per k step in
 // ascending-i order (no FMA — -mfma is deliberately absent), identical to
@@ -158,6 +159,10 @@ inline void transpose8(__m256 r[8]) {
   }
 }
 
+}  // namespace
+
+namespace detail {
+
 /// Scores of 8 keys per pass, one key's dot-product chain per lane: the
 /// q[d] * k_j[d] products of 8 keys are transposed so that each add step
 /// extends all 8 chains by the same d. A short last group re-reads the
@@ -198,51 +203,29 @@ void attn_scores_avx2(const float* q, const float* const* k_rows,
   }
 }
 
-/// Value sum over columns [d0, d0 + 8 * N) of the head, N accumulators of
-/// 8 columns, the last one masked to the head's remaining width.
-template <std::size_t N>
-void value_sum_cols(const float* p, const float* const* v_rows,
-                    std::size_t off, std::size_t len, std::size_t cols,
-                    float* out) {
-  __m256i m[N];
-  __m256 acc[N];
-  for (std::size_t c = 0; c < N; ++c) {
-    m[c] = live_mask8(cols - c * 8 < 8 ? cols - c * 8 : 8);
-    acc[c] = _mm256_maskload_ps(out + c * 8, m[c]);
-  }
-  for (std::size_t j = 0; j < len; ++j) {
-    if (p[j] == 0.0f) continue;
-    const __m256 pj = _mm256_set1_ps(p[j]);
-    const float* vh = v_rows[j] + off;
-    for (std::size_t c = 0; c < N; ++c) {
-      acc[c] = _mm256_add_ps(
-          acc[c], _mm256_mul_ps(pj, _mm256_maskload_ps(vh + c * 8, m[c])));
-    }
-  }
-  for (std::size_t c = 0; c < N; ++c) {
-    _mm256_maskstore_ps(out + c * 8, m[c], acc[c]);
-  }
-}
-
+/// Value sum over 16 columns per pass (two accumulators, masked to the
+/// head's remaining width), one output column's chain per lane over
+/// ascending keys, skipping zero weights.
 void attn_value_sum_avx2(const float* p, const float* const* v_rows,
                          std::size_t off, std::size_t len,
                          std::size_t head_dim, float* out) {
-  for (std::size_t d0 = 0; d0 < head_dim; d0 += 32) {
-    const std::size_t cols = head_dim - d0 < 32 ? head_dim - d0 : 32;
-    switch ((cols + 7) / 8) {
-      case 1:
-        value_sum_cols<1>(p, v_rows, off + d0, len, cols, out + d0);
-        break;
-      case 2:
-        value_sum_cols<2>(p, v_rows, off + d0, len, cols, out + d0);
-        break;
-      case 3:
-        value_sum_cols<3>(p, v_rows, off + d0, len, cols, out + d0);
-        break;
-      default:
-        value_sum_cols<4>(p, v_rows, off + d0, len, cols, out + d0);
-        break;
+  for (std::size_t d0 = 0; d0 < head_dim; d0 += 16) {
+    const std::size_t cols = head_dim - d0;
+    const __m256i m0 = live_mask8(cols < 8 ? cols : 8);
+    const __m256i m1 = live_mask8(cols < 8 ? 0 : cols < 16 ? cols - 8 : 8);
+    __m256 acc0 = _mm256_maskload_ps(out + d0, m0);
+    __m256 acc1 = _mm256_maskload_ps(out + d0 + 8, m1);
+    for (std::size_t j = 0; j < len; ++j) {
+      if (p[j] == 0.0f) continue;
+      const __m256 pj = _mm256_set1_ps(p[j]);
+      const float* vh = v_rows[j] + off + d0;
+      acc0 = _mm256_add_ps(acc0,
+                           _mm256_mul_ps(pj, _mm256_maskload_ps(vh, m0)));
+      acc1 = _mm256_add_ps(acc1,
+                           _mm256_mul_ps(pj, _mm256_maskload_ps(vh + 8, m1)));
     }
+    _mm256_maskstore_ps(out + d0, m0, acc0);
+    _mm256_maskstore_ps(out + d0 + 8, m1, acc1);
   }
 }
 
@@ -251,10 +234,8 @@ constexpr KernelOps kAvx2Ops{KernelTier::kAvx2,    "avx2",
                              &epilogue_span_avx2, &attn_scores_avx2,
                              &attn_value_sum_avx2};
 
-}  // namespace
-
-namespace detail {
 const KernelOps* kernel_ops_avx2() { return &kAvx2Ops; }
+
 }  // namespace detail
 
 }  // namespace ft2

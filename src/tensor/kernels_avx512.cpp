@@ -1,7 +1,8 @@
 // AVX-512F dispatch tier: 64-column GEMM tiles and a 16-wide fused store
-// epilogue. Compiled with -mavx512f -ffp-contract=off (see
-// src/CMakeLists.txt); without those flags this TU degrades to a stub
-// returning nullptr and the dispatcher falls back to AVX2 or SSE.
+// epilogue; attention runs on the AVX2 tier's kernels. Compiled with
+// -mavx512f -ffp-contract=off (see src/CMakeLists.txt); without those flags
+// this TU degrades to a stub returning nullptr and the dispatcher falls
+// back to AVX2 or SSE.
 //
 // Same ODR and bit-exactness rules as kernels_avx2.cpp: file-local
 // intrinsic code only, mul-then-add accumulation (no FMA), slow paths call
@@ -22,12 +23,11 @@ using Protect = KernelEpilogue::Protect;
 
 constexpr std::size_t kTileCols = 64;
 
-// Shuffles and f16 conversions use the merge-masked intrinsics with a
-// full mask: the same instructions as the plain forms, whose GCC 12
-// definitions pass an undefined source vector that -Wmaybe-uninitialized
-// flags (an error in FT2_WERROR builds such as the asan preset).
+// The f16 conversions use the merge-masked intrinsics with a full mask:
+// the same instructions as the plain forms, whose GCC 12 definitions pass
+// an undefined source vector that -Wmaybe-uninitialized flags (an error in
+// FT2_WERROR builds such as the asan preset).
 constexpr __mmask16 kAll16 = 0xFFFF;
-constexpr __mmask8 kAll8 = 0xFF;
 
 inline __m512 quantize16(__m512 v) {
   const __m256i h = _mm512_mask_cvtps_ph(
@@ -116,145 +116,15 @@ void epilogue_span_avx512(float* v, std::size_t n, std::size_t flat0,
   }
 }
 
-inline __m512 unpacklo_pd(__m512 a, __m512 b) {
-  const __m512d x = _mm512_castps_pd(a);
-  return _mm512_castpd_ps(
-      _mm512_mask_unpacklo_pd(x, kAll8, x, _mm512_castps_pd(b)));
-}
-
-inline __m512 unpackhi_pd(__m512 a, __m512 b) {
-  const __m512d x = _mm512_castps_pd(a);
-  return _mm512_castpd_ps(
-      _mm512_mask_unpackhi_pd(x, kAll8, x, _mm512_castps_pd(b)));
-}
-
-/// 128-bit lanes (a[i0], a[i1], b[i0], b[i1]) for IMM = i0 | i1 << 2 |
-/// i0 << 4 | i1 << 6.
-template <int IMM>
-inline __m512 shuffle_lanes(__m512 a, __m512 b) {
-  return _mm512_mask_shuffle_f32x4(a, kAll16, a, b, IMM);
-}
-
-/// In-register 16x16 transpose: afterwards r[c] lane i holds what r[i]
-/// lane c held. Four shuffle stages of 16 shuffles each.
-inline void transpose16(__m512 r[16]) {
-  __m512 t[16];
-  for (int i = 0; i < 16; i += 2) {
-    t[i] = _mm512_mask_unpacklo_ps(r[i], kAll16, r[i], r[i + 1]);
-    t[i + 1] = _mm512_mask_unpackhi_ps(r[i], kAll16, r[i], r[i + 1]);
-  }
-  // u[4g + c]: rows 4g..4g+3 of column 4L + c in 128-bit lane L.
-  __m512 u[16];
-  for (int g = 0; g < 16; g += 4) {
-    u[g] = unpacklo_pd(t[g], t[g + 2]);
-    u[g + 1] = unpackhi_pd(t[g], t[g + 2]);
-    u[g + 2] = unpacklo_pd(t[g + 1], t[g + 3]);
-    u[g + 3] = unpackhi_pd(t[g + 1], t[g + 3]);
-  }
-  // 4x4 transpose of 128-bit lanes across u[c], u[4+c], u[8+c], u[12+c].
-  for (int c = 0; c < 4; ++c) {
-    const __m512 v0 = shuffle_lanes<0x88>(u[c], u[4 + c]);
-    const __m512 v1 = shuffle_lanes<0xDD>(u[c], u[4 + c]);
-    const __m512 v2 = shuffle_lanes<0x88>(u[8 + c], u[12 + c]);
-    const __m512 v3 = shuffle_lanes<0xDD>(u[8 + c], u[12 + c]);
-    r[c] = shuffle_lanes<0x88>(v0, v2);
-    r[4 + c] = shuffle_lanes<0x88>(v1, v3);
-    r[8 + c] = shuffle_lanes<0xDD>(v0, v2);
-    r[12 + c] = shuffle_lanes<0xDD>(v1, v3);
-  }
-}
-
-/// Scores of 16 keys per pass, one key's dot-product chain per lane: the
-/// q[d] * k_j[d] products of 16 keys are transposed so that each add step
-/// extends all 16 chains by the same d. A short last group re-reads the
-/// first key's row in its padding lanes, which are never stored.
-void attn_scores_avx512(const float* q, const float* const* k_rows,
-                        std::size_t off, std::size_t len,
-                        std::size_t head_dim, float scale, float* s) {
-  const __m512 vscale = _mm512_set1_ps(scale);
-  for (std::size_t j0 = 0; j0 < len; j0 += 16) {
-    const std::size_t keys = len - j0 < 16 ? len - j0 : 16;
-    const float* pad[16];
-    const float* const* rows = k_rows + j0;
-    if (keys < 16) {
-      for (std::size_t l = 0; l < 16; ++l) pad[l] = rows[l < keys ? l : 0];
-      rows = pad;
-    }
-    __m512 acc = _mm512_setzero_ps();
-    for (std::size_t d0 = 0; d0 < head_dim; d0 += 16) {
-      const std::size_t dn = head_dim - d0 < 16 ? head_dim - d0 : 16;
-      const __mmask16 m = static_cast<__mmask16>((1u << dn) - 1u);
-      const __m512 qv = _mm512_maskz_loadu_ps(m, q + d0);
-      __m512 t[16];
-      for (std::size_t l = 0; l < 16; ++l) {
-        t[l] = _mm512_mul_ps(qv,
-                             _mm512_maskz_loadu_ps(m, rows[l] + off + d0));
-      }
-      transpose16(t);
-      for (std::size_t d = 0; d < dn; ++d) acc = _mm512_add_ps(acc, t[d]);
-    }
-    _mm512_mask_storeu_ps(s + j0, static_cast<__mmask16>((1u << keys) - 1u),
-                          _mm512_mul_ps(acc, vscale));
-  }
-}
-
-/// Value sum over columns [d0, d0 + 16 * N) of the head, N accumulators of
-/// 16 columns, the last one masked to the head's remaining width. A
-/// zero-weight key leaves every lane untouched (masked add), exactly like
-/// the reference tier's skip.
-template <std::size_t N>
-void value_sum_cols(const float* p, const float* const* v_rows,
-                    std::size_t off, std::size_t len, std::size_t cols,
-                    float* out) {
-  __mmask16 m[N];
-  __m512 acc[N];
-  for (std::size_t c = 0; c < N; ++c) {
-    const std::size_t n = cols - c * 16 < 16 ? cols - c * 16 : 16;
-    m[c] = static_cast<__mmask16>((1u << n) - 1u);
-    acc[c] = _mm512_maskz_loadu_ps(m[c], out + c * 16);
-  }
-  const __m512 zero = _mm512_setzero_ps();
-  for (std::size_t j = 0; j < len; ++j) {
-    const __m512 pj = _mm512_set1_ps(p[j]);
-    const __mmask16 nz = _mm512_cmp_ps_mask(pj, zero, _CMP_NEQ_UQ);
-    const float* vh = v_rows[j] + off;
-    for (std::size_t c = 0; c < N; ++c) {
-      const __m512 prod =
-          _mm512_mul_ps(pj, _mm512_maskz_loadu_ps(m[c], vh + c * 16));
-      acc[c] = _mm512_mask_add_ps(acc[c], nz, acc[c], prod);
-    }
-  }
-  for (std::size_t c = 0; c < N; ++c) {
-    _mm512_mask_storeu_ps(out + c * 16, m[c], acc[c]);
-  }
-}
-
-void attn_value_sum_avx512(const float* p, const float* const* v_rows,
-                           std::size_t off, std::size_t len,
-                           std::size_t head_dim, float* out) {
-  for (std::size_t d0 = 0; d0 < head_dim; d0 += 64) {
-    const std::size_t cols = head_dim - d0 < 64 ? head_dim - d0 : 64;
-    switch ((cols + 15) / 16) {
-      case 1:
-        value_sum_cols<1>(p, v_rows, off + d0, len, cols, out + d0);
-        break;
-      case 2:
-        value_sum_cols<2>(p, v_rows, off + d0, len, cols, out + d0);
-        break;
-      case 3:
-        value_sum_cols<3>(p, v_rows, off + d0, len, cols, out + d0);
-        break;
-      default:
-        value_sum_cols<4>(p, v_rows, off + d0, len, cols, out + d0);
-        break;
-    }
-  }
-}
-
-constexpr KernelOps kAvx512Ops{KernelTier::kAvx512,   "avx512",
-                               kTileCols,            &kouter_row_avx512,
-                               &epilogue_span_avx512, &attn_scores_avx512,
-                               &attn_value_sum_avx512};
+// The attention entries are the AVX2 tier's 8-lane kernels: a 16-lane
+// version measured slower on every length at head_dim 16.
+constexpr KernelOps kAvx512Ops{KernelTier::kAvx512,
+                               "avx512",
+                               kTileCols,
+                               &kouter_row_avx512,
+                               &epilogue_span_avx512,
+                               &detail::attn_scores_avx2,
+                               &detail::attn_value_sum_avx2};
 
 }  // namespace
 

@@ -5,10 +5,6 @@
 #include <functional>
 #include <mutex>
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
 #include "common/thread_pool.hpp"
 #include "numeric/f16.hpp"
 
@@ -191,54 +187,10 @@ void linear_forward_span(const Tensor& x, std::size_t rows, const Tensor& w,
   pool.parallel_for(0, rows * col_tiles, std::ref(tile_task));
 }
 
-namespace {
-
-/// The row maximum as the serial `mx = std::max(mx, f)` pass from v[0]
-/// computes it, vectorised. Without NaNs the maximum does not depend on the
-/// order, except for the sign of a zero maximum, which the exp pass cannot
-/// see: f - 0.0f and f - (-0.0f) differ only in the sign of a zero, and
-/// exp maps both zeros to 1. With a NaN the serial pass is rerun, since
-/// its result then depends on where the NaN sits.
-float softmax_max(std::span<const float> v) {
-  const float* p = v.data();
-  const std::size_t n = v.size();
-  float mx = v[0];
-  bool nan = false;
-  std::size_t i = 0;
-#if defined(__SSE2__)
-  if (n >= 16) {
-    __m128 m[4];
-    __m128 unord = _mm_setzero_ps();
-    for (__m128& mc : m) mc = _mm_set1_ps(v[0]);
-    for (; i + 16 <= n; i += 16) {
-      for (std::size_t c = 0; c < 4; ++c) {
-        const __m128 x = _mm_loadu_ps(p + i + 4 * c);
-        unord = _mm_or_ps(unord, _mm_cmpunord_ps(x, x));
-        m[c] = _mm_max_ps(m[c], x);
-      }
-    }
-    nan = _mm_movemask_ps(unord) != 0;
-    float lanes[4];
-    _mm_storeu_ps(lanes, _mm_max_ps(_mm_max_ps(m[0], m[1]),
-                                    _mm_max_ps(m[2], m[3])));
-    for (const float f : lanes) mx = std::max(mx, f);
-  }
-#endif
-  for (; i < n && !nan; ++i) {
-    nan = std::isnan(p[i]);
-    mx = std::max(mx, p[i]);
-  }
-  if (!nan) return mx;
-  mx = v[0];
-  for (const float f : v) mx = std::max(mx, f);
-  return mx;
-}
-
-}  // namespace
-
 void softmax(std::span<float> v) {
   if (v.empty()) return;
-  const float mx = softmax_max(v);
+  float mx = v[0];
+  for (float f : v) mx = std::max(mx, f);
   // If the row holds NaN/inf only, the standard stable softmax still runs;
   // NaNs propagate, which is the faithful FP behaviour under injection.
   float sum = 0.0f;
