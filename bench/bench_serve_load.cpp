@@ -5,8 +5,9 @@
 // bounded-Pareto heavy-tail prompt lengths, a shared system prompt on half
 // the requests, an interactive high-priority slice):
 //
-//  * dense — paged off, max_batch = B, full prefill at admission: the
-//    pre-scheduler engine, whose KV budget is B dense max_seq caches;
+//  * dense — paged off, max_batch = B, full prefill at admission: each
+//    request reserves a whole max_seq sequence of pool blocks when it is
+//    admitted, so the KV budget is B dense max_seq caches;
 //  * paged — a KvBlockPool holding EXACTLY those bytes, but 4B batch
 //    slots, chunked prefill interleaved with decode, copy-on-write prefix
 //    sharing, and swap preemption under pool pressure.

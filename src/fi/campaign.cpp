@@ -409,15 +409,7 @@ CampaignResult run_campaign_range_impl(
   });
 
   CampaignResult result;
-  for (Outcome o : outcomes) {
-    ++result.trials;
-    switch (o) {
-      case Outcome::kMaskedIdentical: ++result.masked_identical; break;
-      case Outcome::kMaskedSemantic: ++result.masked_semantic; break;
-      case Outcome::kSdc: ++result.sdc; break;
-      case Outcome::kNotInjected: ++result.not_injected; break;
-    }
-  }
+  for (const Outcome o : outcomes) result.add(o);
   return result;
 }
 

@@ -98,6 +98,17 @@ struct CampaignResult {
   }
   ProportionCI sdc_ci() const { return proportion_ci(sdc, trials); }
 
+  /// Tallies one trial's outcome.
+  void add(Outcome o) {
+    ++trials;
+    switch (o) {
+      case Outcome::kMaskedIdentical: ++masked_identical; break;
+      case Outcome::kMaskedSemantic: ++masked_semantic; break;
+      case Outcome::kSdc: ++sdc; break;
+      case Outcome::kNotInjected: ++not_injected; break;
+    }
+  }
+
   void merge(const CampaignResult& other) {
     trials += other.trials;
     masked_identical += other.masked_identical;

@@ -11,16 +11,6 @@ namespace ft2 {
 
 namespace {
 
-/// Exact order statistic over a sorted sample (0 when empty).
-double sorted_quantile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double rank = q * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(std::floor(rank));
-  const std::size_t hi = static_cast<std::size_t>(std::ceil(rank));
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
 /// "[lo%, hi%]" interval cell.
 std::string ci_cell(double lo, double hi) {
   return "[" + Table::format_pct(lo, 2) + ", " + Table::format_pct(hi, 2) +
@@ -73,13 +63,7 @@ CampaignReport aggregate_trial_records(
     const std::vector<TrialRecord>& records) {
   CampaignReport report;
   for (const TrialRecord& r : records) {
-    ++report.result.trials;
-    switch (r.outcome) {
-      case Outcome::kMaskedIdentical: ++report.result.masked_identical; break;
-      case Outcome::kMaskedSemantic: ++report.result.masked_semantic; break;
-      case Outcome::kSdc: ++report.result.sdc; break;
-      case Outcome::kNotInjected: ++report.result.not_injected; break;
-    }
+    report.result.add(r.outcome);
 
     const bool sdc = r.outcome == Outcome::kSdc;
     const bool detected = r.detections > 0;

@@ -31,16 +31,6 @@ std::size_t manifest_size(const Json& json, const char* key) {
   return static_cast<std::size_t>(manifest_field(json, key).as_double());
 }
 
-void bump_outcome(CampaignResult& result, Outcome outcome) {
-  ++result.trials;
-  switch (outcome) {
-    case Outcome::kMaskedIdentical: ++result.masked_identical; break;
-    case Outcome::kMaskedSemantic: ++result.masked_semantic; break;
-    case Outcome::kSdc: ++result.sdc; break;
-    case Outcome::kNotInjected: ++result.not_injected; break;
-  }
-}
-
 }  // namespace
 
 Json ShardManifest::to_json() const {
@@ -551,7 +541,7 @@ ShardRunResult run_campaign_shard(const TransformerLM& model,
   if (out.torn_tail_recovered) torn_counter.inc();
   ShardFrameEmitter emitter(telemetry, manifest, metrics);
   for (const TrialRecord& r : recovered) {
-    bump_outcome(out.result, r.outcome);
+    out.result.add(r.outcome);
     emitter.record_outcome(r.outcome);
   }
   emitter.set_resumed(out.resumed);

@@ -102,16 +102,9 @@ BootstrapCI bootstrap_proportion_ci(std::size_t successes, std::size_t trials,
     rates.push_back(static_cast<double>(binomial_sample(rng, trials, p)) / n);
   }
   std::sort(rates.begin(), rates.end());
-  const auto percentile = [&](double frac) {
-    const double rank = frac * static_cast<double>(rates.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(std::floor(rank));
-    const std::size_t hi = static_cast<std::size_t>(std::ceil(rank));
-    const double t = rank - static_cast<double>(lo);
-    return rates[lo] * (1.0 - t) + rates[hi] * t;
-  };
   const double alpha = (1.0 - options.confidence) / 2.0;
-  ci.lo = percentile(alpha);
-  ci.hi = percentile(1.0 - alpha);
+  ci.lo = sorted_quantile(rates, alpha);
+  ci.hi = sorted_quantile(rates, 1.0 - alpha);
   return ci;
 }
 

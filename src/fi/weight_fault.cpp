@@ -86,13 +86,7 @@ CampaignResult run_weight_fault_campaign_impl(
       opts.fp16 = config.vtype == ValueType::kF16;
       const auto out = session.generate(input.prompt, opts);
 
-      ++result.trials;
-      switch (classify_outcome(out.tokens, input)) {
-        case Outcome::kMaskedIdentical: ++result.masked_identical; break;
-        case Outcome::kMaskedSemantic: ++result.masked_semantic; break;
-        case Outcome::kSdc: ++result.sdc; break;
-        case Outcome::kNotInjected: ++result.not_injected; break;
-      }
+      result.add(classify_outcome(out.tokens, input));
     }
   }
   return result;

@@ -1,247 +1,214 @@
-// Per-block key/value cache for incremental decoding.
+// Per-layer key/value cache for incremental decoding, stored in the blocks
+// of a KvBlockPool.
 #pragma once
 
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "nn/kv_pool.hpp"
-#include "tensor/tensor.hpp"
 
 namespace ft2 {
 
 /// Stores keys and values (post-RoPE) for every processed position of every
-/// block. Layout per block: [rows, d_model] with head-major columns.
+/// transformer layer. Storage is always paged: position p lives in row
+/// p % block_rows of the pool block named by block-table entry
+/// p / block_rows. A table entry is {pool, block id}; caches differ only in
+/// where their blocks come from:
+///  * standalone (the constructor, TransformerLM::make_cache, sessions,
+///    prefix_copy): a private pool of kBlockRows-row blocks with room for
+///    max_seq rows, mapped as rows are stored. A cache with max_seq 0
+///    allocates nothing;
+///  * paged(pool, max_seq): blocks of a shared pool (the serve engine's),
+///    mapped ahead of the stores by reserve_rows or adopted from another
+///    sequence by adopt_shared_prefix;
+///  * forked(base, len, tail): the first ceil(len / block_rows) entries
+///    borrow base's blocks (a shared_ptr to base keeps them alive) and the
+///    tail goes into a private pool. Forking is O(tail): the prefix is
+///    never copied. The fault-injection campaign forks one fault-free run
+///    into every trial this way.
 ///
-/// Three storage modes:
-///  * plain — one owned [max_seq, d_model] tensor pair per block (the
-///    default for solo generation);
-///  * forked — rows [0, prefix_len) are read through an immutable,
-///    ref-counted prefix cache shared with other forks, and only a short
-///    appendable tail is owned. Forking is O(tail) allocation: no max_seq
-///    memcpy, no max_seq zero-init. The fault-injection campaign forks one
-///    fault-free prefix into every trial this way.
-///  * paged — rows live in fixed-size ref-counted blocks of a KvBlockPool,
-///    resolved through a per-cache block table. Physical memory grows in
-///    block-sized steps with the stored length (reserve_rows), blocks can
-///    be shared across live caches (adopt_shared_prefix), and a store into
-///    a shared block copies it first (copy-on-write). The serve engine's
-///    paged allocator; see nn/kv_pool.hpp.
+/// One copy-on-write rule covers prefix sharing, cache copies and forks: a
+/// store writes a block only when the block belongs to the cache's own
+/// pool and has ref count 1. Any other store first copies the block into a
+/// fresh block of the cache's own pool. A fork never touches the borrowed
+/// pool's ref counts or free list, so every pool has a single owner and
+/// concurrent forks of one snapshot only read it.
 ///
-/// All three modes present the same read/append interface, so the
-/// attention kernels and forward_batch never see which one they run on.
+/// The attention kernels read rows through key()/value() and never see the
+/// block table.
 class KvCache {
  public:
   using BlockId = KvBlockPool::BlockId;
+  /// Rows per block of a standalone cache's private pool.
+  static constexpr std::size_t kBlockRows = 16;
 
-  KvCache(std::size_t n_blocks, std::size_t max_seq, std::size_t d_model)
-      : max_seq_(max_seq), d_model_(d_model) {
-    keys_.reserve(n_blocks);
-    values_.reserve(n_blocks);
-    for (std::size_t b = 0; b < n_blocks; ++b) {
-      keys_.emplace_back(Tensor({max_seq, d_model}));
-      values_.emplace_back(Tensor({max_seq, d_model}));
-    }
+  /// Standalone cache with room for `max_seq` rows of `n_layers` layers.
+  KvCache(std::size_t n_layers, std::size_t max_seq, std::size_t d_model)
+      : n_layers_(n_layers), max_seq_(max_seq), d_model_(d_model) {
+    make_private_pool(blocks_for(max_seq));
   }
 
-  /// Creates a paged cache over `pool`: no physical rows are held until
-  /// reserve_rows / adopt_shared_prefix maps blocks. `max_seq` caps the
-  /// logical length exactly like the dense constructor.
+  /// Cache over the shared `pool`: no rows are held until reserve_rows /
+  /// adopt_shared_prefix maps blocks. `max_seq` caps the logical length.
   static KvCache paged(KvBlockPool& pool, std::size_t max_seq) {
-    KvCache out;
-    out.pool_ = &pool;
-    out.block_rows_ = pool.block_rows();
+    KvCache out(pool.n_layers(), 0, pool.d_model());
     out.max_seq_ = max_seq;
-    out.d_model_ = pool.d_model();
+    out.block_rows_ = pool.block_rows();
+    out.pool_ = &pool;
     return out;
   }
 
-  ~KvCache() { release_storage(); }
-
-  KvCache(KvCache&& other) noexcept { *this = std::move(other); }
-  KvCache& operator=(KvCache&& other) noexcept {
-    if (this != &other) {
-      release_storage();
-      max_seq_ = other.max_seq_;
-      d_model_ = other.d_model_;
-      length_ = other.length_;
-      keys_ = std::move(other.keys_);
-      values_ = std::move(other.values_);
-      prefix_ = std::move(other.prefix_);
-      prefix_len_ = other.prefix_len_;
-      pool_ = other.pool_;
-      block_rows_ = other.block_rows_;
-      table_ = std::move(other.table_);
-      other.pool_ = nullptr;
-      other.table_.clear();
-      other.length_ = 0;
+  /// Fork of `base` at position `len`: rows [0, len) are read from base's
+  /// blocks and `tail_rows` more rows can be appended. length() starts at
+  /// `len`; store()/advance() continue from there exactly as if the prefix
+  /// had been computed in place. A zero-tail fork owns no block.
+  static KvCache forked(std::shared_ptr<const KvCache> base, std::size_t len,
+                        std::size_t tail_rows) {
+    FT2_CHECK(base != nullptr && len <= base->length_);
+    KvCache out(base->n_layers_, 0, base->d_model_);
+    out.block_rows_ = base->block_rows_;
+    out.max_seq_ = len + tail_rows;
+    out.length_ = len;
+    // Tail blocks, plus the copy of a borrowed block the fork point splits.
+    if (tail_rows > 0) {
+      out.make_private_pool(out.blocks_for(len + tail_rows) -
+                            len / out.block_rows_);
     }
+    out.table_.assign(base->table_.begin(),
+                      base->table_.begin() +
+                          static_cast<std::ptrdiff_t>(out.blocks_for(len)));
+    out.base_ = std::move(base);
+    return out;
+  }
+
+  ~KvCache() { release_blocks(); }
+
+  KvCache(KvCache&& other) noexcept { swap(other); }
+  /// Copy or move assignment; the old contents are released.
+  KvCache& operator=(KvCache other) noexcept {
+    swap(other);
     return *this;
   }
 
-  /// Copying a paged cache maps the same blocks with an extra reference —
-  /// both copies read the shared rows, and a store from either side copies
-  /// the touched block first (copy-on-write), so copies never alias writes.
+  /// A copy of a paged cache maps the same blocks with an extra reference,
+  /// so either side's next store into them copies first. A standalone
+  /// cache's private pool is copied whole (pools stay single-owner).
   KvCache(const KvCache& other)
-      : max_seq_(other.max_seq_),
+      : n_layers_(other.n_layers_),
+        max_seq_(other.max_seq_),
         d_model_(other.d_model_),
         length_(other.length_),
-        keys_(other.keys_),
-        values_(other.values_),
-        prefix_(other.prefix_),
-        prefix_len_(other.prefix_len_),
-        pool_(other.pool_),
         block_rows_(other.block_rows_),
+        pool_(other.pool_),
+        base_(other.base_),
         table_(other.table_) {
-    if (pool_ != nullptr) {
-      for (const BlockId b : table_) pool_->add_ref(b);
+    if (other.owned_ != nullptr) {
+      owned_ = std::make_shared<KvBlockPool>(*other.owned_);
+      pool_ = owned_.get();
+    }
+    for (BlockRef& e : table_) {
+      if (e.pool != other.pool_) continue;
+      e.pool = pool_;
+      if (owned_ == nullptr) pool_->add_ref(e.id);
     }
   }
-  KvCache& operator=(const KvCache& other) {
-    if (this != &other) *this = KvCache(other);
-    return *this;
-  }
 
-  /// Compact dense copy of the first `n` stored rows of every block
-  /// (tensors shaped [n, d_model], not [max_seq, d_model]) — what a
-  /// snapshot or a preemption swap-out needs to retain, at a fraction of
-  /// the full cache's footprint. Works for plain and paged caches.
+  /// Standalone copy of the first `n` stored rows, sized to exactly those
+  /// rows (block-rounded) — what a snapshot or a preemption swap-out needs
+  /// to retain, without the source's max_seq slack.
   KvCache prefix_copy(std::size_t n) const {
-    FT2_CHECK(prefix_ == nullptr && n <= length_);
-    const std::size_t n_layers = pool_ != nullptr ? pool_->n_layers()
-                                                  : keys_.size();
-    KvCache out(n_layers, n, d_model_);
-    for (std::size_t b = 0; b < n_layers; ++b) {
-      for (std::size_t pos = 0; pos < n; ++pos) {
-        const auto k = key(b, pos);
-        const auto v = value(b, pos);
-        std::copy(k.begin(), k.end(), out.keys_[b].row(pos).begin());
-        std::copy(v.begin(), v.end(), out.values_[b].row(pos).begin());
+    FT2_CHECK(n <= length_);
+    KvCache out(n_layers_, n, d_model_);
+    for (std::size_t pos = 0; pos < n; ++pos) {
+      for (std::size_t l = 0; l < n_layers_; ++l) {
+        out.store(l, pos, key(l, pos), value(l, pos));
       }
     }
     out.length_ = n;
     return out;
   }
 
-  /// Creates a forked cache: rows [0, prefix_len) are served read-only from
-  /// `prefix` (shared, never copied) and `tail_rows` appendable rows are
-  /// owned. length() starts at prefix_len; store()/advance() continue from
-  /// there exactly as if the prefix had been computed in place.
-  static KvCache forked(std::shared_ptr<const KvCache> prefix,
-                        std::size_t prefix_len, std::size_t tail_rows) {
-    FT2_CHECK(prefix != nullptr && prefix->prefix_ == nullptr &&
-              prefix->pool_ == nullptr);
-    FT2_CHECK(prefix_len <= prefix->length_);
-    KvCache out(prefix->keys_.size(), tail_rows, prefix->d_model_);
-    out.prefix_ = std::move(prefix);
-    out.prefix_len_ = prefix_len;
-    out.max_seq_ = prefix_len + tail_rows;
-    out.length_ = prefix_len;
-    return out;
-  }
-
   /// True for caches created by forked(). Forked caches cannot be reset or
   /// re-prefilled from position 0 — make a fresh cache instead.
-  bool forked() const { return prefix_ != nullptr; }
-  std::size_t prefix_len() const { return prefix_len_; }
+  bool forked() const { return base_ != nullptr; }
 
-  /// True for caches created by paged().
-  bool paged() const { return pool_ != nullptr; }
-  /// Block table of a paged cache (logical block index -> pool block id).
-  const std::vector<BlockId>& block_table() const { return table_; }
-
-  void reset() {
-    FT2_ASSERT(prefix_ == nullptr);
-    if (pool_ != nullptr) {
-      for (const BlockId b : table_) pool_->release(b);
-      table_.clear();
-    }
-    length_ = 0;
+  /// Block ids of the table in position order, each in the pool its entry
+  /// names (the shared pool, for a paged cache).
+  std::vector<BlockId> block_table() const {
+    std::vector<BlockId> ids;
+    ids.reserve(table_.size());
+    for (const BlockRef& e : table_) ids.push_back(e.id);
+    return ids;
   }
 
-  /// Frees all storage (pool blocks back to the pool, owned tensors
-  /// dropped). The cache stays usable only via move-assignment afterwards;
-  /// the serve engine calls this when a request finishes so its blocks do
-  /// not outlive the accounting window.
+  void reset() {
+    FT2_ASSERT(!forked());
+    release_blocks();
+  }
+
+  /// Returns every block to its pool and empties the cache; a fork also
+  /// lets go of its base. The cache stays usable: the serve engine calls
+  /// this when a request finishes or is preempted, and a paged cache can
+  /// be refilled afterwards.
   void release_storage() {
-    if (pool_ != nullptr) {
-      for (const BlockId b : table_) pool_->release(b);
-      table_.clear();
-    }
-    keys_.clear();
-    values_.clear();
-    prefix_.reset();
-    length_ = 0;
+    release_blocks();
+    base_.reset();
   }
 
   std::size_t length() const { return length_; }
   std::size_t max_seq() const { return max_seq_; }
 
-  /// Paged mode: rows with physical backing ([0, physical_rows())).
-  std::size_t physical_rows() const {
-    return pool_ != nullptr ? table_.size() * block_rows_ : max_seq_;
-  }
-
-  /// Paged mode: maps enough blocks that `n` more rows beyond length() have
-  /// physical backing. All-or-nothing: on pool exhaustion nothing is
-  /// allocated and false is returned (the scheduler evicts and retries).
-  /// No-op (true) for non-paged caches.
+  /// Maps enough blocks that `n` more rows beyond length() have physical
+  /// backing. All-or-nothing: on pool exhaustion nothing is allocated and
+  /// false is returned (the scheduler evicts and retries).
   bool reserve_rows(std::size_t n) {
-    if (pool_ == nullptr) return true;
     FT2_CHECK_MSG(length_ + n <= max_seq_,
                   "reserve_rows past max_seq " << max_seq_);
-    const std::size_t need_rows = length_ + n;
-    const std::size_t need_blocks = (need_rows + block_rows_ - 1) / block_rows_;
     const std::size_t have = table_.size();
-    if (need_blocks <= have) return true;
-    for (std::size_t i = have; i < need_blocks; ++i) {
-      BlockId b = KvBlockPool::kInvalidBlock;
+    BlockId b = KvBlockPool::kInvalidBlock;
+    while (table_.size() < blocks_for(length_ + n)) {
       if (!pool_->try_alloc(b)) {
-        while (table_.size() > have) {
-          pool_->release(table_.back());
-          table_.pop_back();
+        for (; table_.size() > have; table_.pop_back()) {
+          pool_->release(table_.back().id);
         }
         return false;
       }
-      table_.push_back(b);
+      table_.push_back({pool_, b});
     }
     return true;
   }
 
-  /// Paged mode: adopts `blocks` (adding a reference to each) as this
-  /// cache's first rows — the serve engine's copy-on-write prefix sharing.
-  /// `rows` of K/V content become readable immediately and length() starts
-  /// there; the cache must be empty. Only content covered by `rows` may be
-  /// read, and `rows` may end mid-block (a store into that tail block
-  /// triggers copy-on-write).
+  /// Adopts `blocks` of the shared pool (adding a reference to each) as
+  /// this cache's first rows — the serve engine's copy-on-write prefix
+  /// sharing. `rows` of K/V content become readable immediately and
+  /// length() starts there; the cache must be empty. `rows` may end
+  /// mid-block (a store into that block copies it first).
   void adopt_shared_prefix(std::span<const BlockId> blocks, std::size_t rows) {
     FT2_CHECK(pool_ != nullptr && table_.empty() && length_ == 0);
     FT2_CHECK(rows <= blocks.size() * block_rows_ && rows <= max_seq_);
-    table_.assign(blocks.begin(), blocks.end());
-    for (const BlockId b : table_) pool_->add_ref(b);
+    for (const BlockId b : blocks) {
+      pool_->add_ref(b);
+      table_.push_back({pool_, b});
+    }
     length_ = rows;
   }
 
-  /// Appends k/v for the next position of block `b`. All blocks must append
-  /// for a position before advance() is called.
-  void store(std::size_t block, std::size_t pos, std::span<const float> k,
+  /// Writes k/v of position `pos` for `layer`. Every layer stores a
+  /// position, layer 0 first, before advance() is called.
+  void store(std::size_t layer, std::size_t pos, std::span<const float> k,
              std::span<const float> v) {
-    FT2_ASSERT(pos >= prefix_len_ && pos < max_seq_ && k.size() == d_model_ &&
+    FT2_ASSERT(pos < max_seq_ && k.size() == d_model_ &&
                v.size() == d_model_);
-    if (pool_ != nullptr) {
-      const std::size_t bi = pos / block_rows_;
-      const std::size_t r = pos % block_rows_;
-      FT2_ASSERT(bi < table_.size());
-      if (block == 0) make_block_writable(bi);
-      const auto kd = pool_->key_row(block, table_[bi], r);
-      const auto vd = pool_->value_row(block, table_[bi], r);
-      std::copy(k.begin(), k.end(), kd.begin());
-      std::copy(v.begin(), v.end(), vd.begin());
-      return;
-    }
-    std::copy(k.begin(), k.end(), keys_[block].row(pos - prefix_len_).begin());
-    std::copy(v.begin(), v.end(),
-              values_[block].row(pos - prefix_len_).begin());
+    const std::size_t bi = pos / block_rows_;
+    if (layer == 0) make_block_writable(bi);
+    const std::size_t r = pos % block_rows_;
+    const auto kd = pool_->key_row(layer, table_[bi].id, r);
+    const auto vd = pool_->value_row(layer, table_[bi].id, r);
+    std::copy(k.begin(), k.end(), kd.begin());
+    std::copy(v.begin(), v.end(), vd.begin());
   }
 
   void advance() {
@@ -256,68 +223,104 @@ class KvCache {
     length_ += n;
   }
 
-  std::span<const float> key(std::size_t block, std::size_t pos) const {
-    if (pool_ != nullptr) {
-      return pool_->key_row(block, table_[pos / block_rows_],
-                            pos % block_rows_);
-    }
-    return pos < prefix_len_ ? prefix_->keys_[block].row(pos)
-                             : keys_[block].row(pos - prefix_len_);
+  std::span<const float> key(std::size_t layer, std::size_t pos) const {
+    const BlockRef& e = table_[pos / block_rows_];
+    return e.pool->key_row(layer, e.id, pos % block_rows_);
   }
-  std::span<const float> value(std::size_t block, std::size_t pos) const {
-    if (pool_ != nullptr) {
-      return pool_->value_row(block, table_[pos / block_rows_],
-                              pos % block_rows_);
-    }
-    return pos < prefix_len_ ? prefix_->values_[block].row(pos)
-                             : values_[block].row(pos - prefix_len_);
+  std::span<const float> value(std::size_t layer, std::size_t pos) const {
+    const BlockRef& e = table_[pos / block_rows_];
+    return e.pool->value_row(layer, e.id, pos % block_rows_);
   }
 
-  /// Bytes of K/V storage mapped by this cache. Plain mode: the dense
-  /// allocation. Forked mode: only the owned tail (the shared prefix is
-  /// attributed once to the snapshot that owns it). Paged mode: the mapped
-  /// blocks — a block shared with other caches is counted here by each
-  /// sharer; the serve engine deduplicates by block id when it reports
-  /// pool-resident bytes (shared blocks counted once).
+  /// Bytes of the blocks this cache holds in its own pool. A fork's
+  /// borrowed blocks count with the cache that owns them; a block shared
+  /// by several paged caches is counted by each sharer (the serve engine
+  /// deduplicates by block id when it reports resident bytes).
   std::size_t memory_bytes() const {
-    if (pool_ != nullptr) return table_.size() * pool_->block_bytes();
-    std::size_t rows = 0;
-    for (const Tensor& k : keys_) rows += k.numel();
-    return 2 * rows * sizeof(float);
+    std::size_t own = 0;
+    for (const BlockRef& e : table_) own += e.pool == pool_ ? 1 : 0;
+    return own == 0 ? 0 : own * pool_->block_bytes();
   }
 
  private:
-  KvCache() = default;
+  /// One block-table entry: a block of `pool`.
+  struct BlockRef {
+    const KvBlockPool* pool;
+    BlockId id;
+  };
 
-  /// Copy-on-write: a store into a block mapped by more than one cache
-  /// first copies it into a fresh private block. Called once per appended
-  /// row (on the first layer's store), so every layer of the row lands in
-  /// the private copy.
-  void make_block_writable(std::size_t bi) {
-    const BlockId b = table_[bi];
-    if (pool_->ref_count(b) <= 1) return;
-    BlockId fresh = KvBlockPool::kInvalidBlock;
-    FT2_CHECK_MSG(pool_->try_alloc(fresh),
-                  "KvBlockPool exhausted during copy-on-write (reserve "
-                  "accounting bug or pool sized below one sequence)");
-    pool_->copy_block(b, fresh);
-    pool_->release(b);
-    table_[bi] = fresh;
+  void swap(KvCache& o) noexcept {
+    std::swap(n_layers_, o.n_layers_);
+    std::swap(max_seq_, o.max_seq_);
+    std::swap(d_model_, o.d_model_);
+    std::swap(length_, o.length_);
+    std::swap(block_rows_, o.block_rows_);
+    owned_.swap(o.owned_);
+    std::swap(pool_, o.pool_);
+    base_.swap(o.base_);
+    table_.swap(o.table_);
   }
 
+  std::size_t blocks_for(std::size_t rows) const {
+    return (rows + block_rows_ - 1) / block_rows_;
+  }
+
+  /// Also sizes the table for max_seq rows, so stores never allocate.
+  void make_private_pool(std::size_t blocks) {
+    if (blocks == 0) return;
+    owned_ = std::make_shared<KvBlockPool>(n_layers_, d_model_, blocks,
+                                           block_rows_);
+    pool_ = owned_.get();
+    table_.reserve(blocks_for(max_seq_));
+  }
+
+  /// Drops this cache's references (borrowed blocks hold none) and empties
+  /// the table.
+  void release_blocks() {
+    for (const BlockRef& e : table_) {
+      if (e.pool == pool_) pool_->release(e.id);
+    }
+    table_.clear();
+    length_ = 0;
+  }
+
+  /// Maps block `bi` on the first store into it, and applies the
+  /// copy-on-write rule. Called once per appended row (on layer 0's
+  /// store), so every layer of the row lands in the same block.
+  void make_block_writable(std::size_t bi) {
+    FT2_ASSERT(bi <= table_.size());
+    if (bi == table_.size()) {
+      table_.push_back({pool_, alloc_block()});
+      return;
+    }
+    BlockRef& e = table_[bi];
+    if (e.pool == pool_ && pool_->ref_count(e.id) == 1) return;
+    const BlockId fresh = alloc_block();
+    pool_->copy_block(*e.pool, e.id, fresh);
+    if (e.pool == pool_) pool_->release(e.id);
+    e = {pool_, fresh};
+  }
+
+  BlockId alloc_block() {
+    BlockId b = KvBlockPool::kInvalidBlock;
+    FT2_CHECK_MSG(pool_ != nullptr && pool_->try_alloc(b),
+                  "KvBlockPool exhausted on a store (reserve accounting bug "
+                  "or pool sized below one sequence)");
+    return b;
+  }
+
+  std::size_t n_layers_ = 0;
   std::size_t max_seq_ = 0;
   std::size_t d_model_ = 0;
   std::size_t length_ = 0;
-  std::vector<Tensor> keys_;
-  std::vector<Tensor> values_;
-  /// Shared immutable prefix (forked mode only): rows [0, prefix_len_) of
-  /// every block resolve into this cache; owned tensors hold the tail.
-  std::shared_ptr<const KvCache> prefix_;
-  std::size_t prefix_len_ = 0;
-  /// Paged mode: pool + block table (logical block index -> pool block).
+  std::size_t block_rows_ = kBlockRows;
+  /// Private pool of a standalone cache or a fork's tail (null otherwise).
+  std::shared_ptr<KvBlockPool> owned_;
+  /// The pool stores land in: owned_, or the shared pool of a paged cache.
   KvBlockPool* pool_ = nullptr;
-  std::size_t block_rows_ = 1;
-  std::vector<BlockId> table_;
+  /// Fork only: the cache whose blocks the first entries borrow.
+  std::shared_ptr<const KvCache> base_;
+  std::vector<BlockRef> table_;
 };
 
 }  // namespace ft2

@@ -39,12 +39,15 @@ void KvBlockPool::release(BlockId b) {
   if (--refs_[b] == 0) free_.push_back(b);
 }
 
-void KvBlockPool::copy_block(BlockId src, BlockId dst) {
-  FT2_ASSERT(src < refs_.size() && dst < refs_.size() && refs_[dst] > 0);
+void KvBlockPool::copy_block(const KvBlockPool& from, BlockId src,
+                             BlockId dst) {
+  FT2_ASSERT(from.n_layers_ == n_layers_ && from.d_model_ == d_model_ &&
+             from.block_rows_ == block_rows_);
+  FT2_ASSERT(src < from.refs_.size() && dst < refs_.size() && refs_[dst] > 0);
   const std::size_t n = block_rows_ * d_model_;
   for (std::size_t l = 0; l < n_layers_; ++l) {
-    const auto ks = keys_[l].span().subspan(src * n, n);
-    const auto vs = values_[l].span().subspan(src * n, n);
+    const auto ks = from.keys_[l].span().subspan(src * n, n);
+    const auto vs = from.values_[l].span().subspan(src * n, n);
     std::copy(ks.begin(), ks.end(), keys_[l].span().subspan(dst * n, n).begin());
     std::copy(vs.begin(), vs.end(),
               values_[l].span().subspan(dst * n, n).begin());

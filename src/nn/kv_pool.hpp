@@ -1,28 +1,27 @@
-// Fixed-block K/V storage pool for paged caches.
+// Fixed-block K/V storage pool: the one storage layout of every KvCache.
 //
 // A KvBlockPool owns a fixed arena of physical blocks, each holding
 // `block_rows` K/V rows for EVERY transformer layer (one [rows, d_model]
-// slab per layer for keys and one for values). A paged KvCache maps its
-// logical sequence positions onto pool blocks through a block table, so a
-// request's resident footprint grows in block-sized steps with its actual
-// length instead of being a dense max_seq allocation up front — the pool,
-// not max_seq capacity, is what bounds concurrent sequences.
+// slab per layer for keys and one for values). A KvCache maps its logical
+// sequence positions onto blocks through a block table (nn/kv_cache.hpp).
+// The serve engine owns one pool shared by all its requests, so a
+// request's footprint grows in block-sized steps with its actual length and
+// the pool, not max_seq capacity, bounds concurrent sequences. Every
+// standalone cache (solo sessions, snapshots, fork tails) owns a small
+// private pool of its own.
 //
-// Blocks are ref-counted: several caches may map the same block (shared
-// prompt prefixes across live serve requests, and plain KvCache copies).
-// Shared blocks are immutable from a writer's point of view — a cache that
-// stores into a block with more than one reference first copies it into a
-// fresh private block (copy-on-write), so a sharer can never observe
-// another sequence's writes.
+// Blocks are ref-counted: several caches of the same pool may map one
+// block (shared prompt prefixes across live serve requests, and copies of
+// a paged cache). A cache that stores into a block it does not hold alone
+// first copies it into a fresh block of its own pool (copy-on-write, also
+// across pools via copy_block(from, src, dst)), so a sharer can never
+// observe another sequence's writes.
 //
 // Allocation is a LIFO free list: deterministic given the same operation
 // sequence, O(1) per block, no fragmentation (all blocks are the same
-// size). The pool is single-threaded like the serve engine that owns it.
-//
-// `PagedKvCache` is not a separate type: paged storage is a mode of
-// KvCache itself (KvCache::paged), so DecodeSlot, forward_batch and the
-// attention read path are untouched — kernels read rows through the same
-// key()/value() indirection and never see the block table.
+// size). A pool has one owner and is not synchronised: ref counts and the
+// free list change only from the owner's thread. Forks in other threads
+// only read its rows.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +60,7 @@ class KvBlockPool {
   /// exhausted — the caller decides whether to evict or back off.
   bool try_alloc(BlockId& out);
 
-  /// Adds a reference to a live block (prefix sharing / cache copies).
+  /// Adds a reference to a live block (prefix sharing / paged cache copies).
   void add_ref(BlockId b) {
     FT2_ASSERT(b < refs_.size() && refs_[b] > 0);
     ++refs_[b];
@@ -95,9 +94,11 @@ class KvBlockPool {
     return values_[layer].row(b * block_rows_ + r);
   }
 
-  /// Copies every layer's K/V rows of `src` into `dst` (the copy-on-write
-  /// step). `dst` must be a live (allocated) block.
-  void copy_block(BlockId src, BlockId dst);
+  /// Copies every layer's K/V rows of block `src` of `from` into this
+  /// pool's block `dst` (the copy-on-write step). `from` may be this pool
+  /// or another pool of the same geometry; `dst` must be a live block.
+  void copy_block(const KvBlockPool& from, BlockId src, BlockId dst);
+  void copy_block(BlockId src, BlockId dst) { copy_block(*this, src, dst); }
 
  private:
   std::size_t n_layers_;

@@ -268,8 +268,8 @@ struct SessionSnapshot {
   std::size_t prompt_len = 0;  ///< prefilled positions (prompt, truncated)
   GenerateOptions options;     ///< options the recorded run used
   GenerateResult result;       ///< the recorded (fault-free) result
-  /// K/V rows [0, prompt_len + result.tokens.size() - 1) of the run,
-  /// stored compactly ([rows, d_model] tensors, no max_seq slack).
+  /// K/V rows [0, prompt_len + result.tokens.size() - 1) of the run, in a
+  /// standalone cache sized to those rows (no max_seq slack).
   std::shared_ptr<const KvCache> cache;
   /// Sampling-RNG state after choosing token s (one entry per token), so a
   /// temperature > 0 fork draws exactly the suffix of the recorded stream.
@@ -288,8 +288,8 @@ struct SessionSnapshot {
 /// Stateful generation session: owns the cache, workspace and hook chain.
 class InferenceSession {
  public:
-  /// Allocates no KV rows: each generation sizes the dense cache to its
-  /// own horizon, and a forked one (resume_from) owns only its tail.
+  /// Allocates no KV rows: each generation sizes its standalone cache to
+  /// its own horizon, and a forked one (resume_from) owns only its tail.
   explicit InferenceSession(const TransformerLM& model);
 
   HookChain& hooks() { return hooks_; }
@@ -333,7 +333,7 @@ class InferenceSession {
                              const std::function<void()>& on_resume = {});
 
  private:
-  /// Empties the dense cache for a fresh generation, reallocating it only
+  /// Empties the cache for a fresh generation, reallocating it only
   /// when it is forked or shorter than min(max_seq, prompt_len +
   /// max_new_tokens) rows — the most positions the generation can store.
   void reset_cache(std::size_t prompt_len, const GenerateOptions& options);

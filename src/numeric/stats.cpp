@@ -103,16 +103,20 @@ double Histogram::fraction_in(double lo, double hi) const {
   return static_cast<double>(n) / static_cast<double>(total_);
 }
 
+double sorted_quantile(std::span<const double> sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  const double rank =
+      std::clamp(q, 0.0, 1.0) * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
 double Histogram::quantile(double q) const {
-  if (exact_.empty()) return 0.0;
   std::vector<double> sorted = exact_;
   std::sort(sorted.begin(), sorted.end());
-  const double pos = std::clamp(q, 0.0, 1.0) *
-                     static_cast<double>(sorted.size() - 1);
-  const auto idx = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(idx);
-  if (idx + 1 >= sorted.size()) return sorted.back();
-  return sorted[idx] * (1.0 - frac) + sorted[idx + 1] * frac;
+  return sorted_quantile(sorted, q);
 }
 
 std::string Histogram::render(std::size_t width) const {

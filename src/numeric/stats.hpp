@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,11 @@ class RunningStats {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
+
+/// Quantile q in [0, 1] (clamped) of an ascending sample, interpolated
+/// linearly between the order statistics around rank q * (n - 1). 0 when
+/// the sample is empty.
+double sorted_quantile(std::span<const double> sorted, double q);
 
 /// Two-sided confidence interval for a binomial proportion.
 struct ProportionCI {

@@ -7,6 +7,7 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "numeric/stats.hpp"
 
 namespace ft2 {
 
@@ -88,18 +89,6 @@ std::vector<LoadRequest> build_load(const LoadSpec& spec,
   return load;
 }
 
-double load_percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double rank =
-      std::clamp(p, 0.0, 100.0) / 100.0 *
-      static_cast<double>(values.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
 LoadReport run_load(ServeEngine& engine,
                     const std::vector<LoadRequest>& load) {
   struct Track {
@@ -129,10 +118,8 @@ LoadReport run_load(ServeEngine& engine,
                                   engine.active_requests());
     report.peak_queue_depth =
         std::max(report.peak_queue_depth, engine.queue_depth());
-    if (engine.kv_pool() != nullptr) {
-      report.peak_kv_blocks =
-          std::max(report.peak_kv_blocks, engine.kv_pool()->used_blocks());
-    }
+    report.peak_kv_blocks =
+        std::max(report.peak_kv_blocks, engine.kv_pool()->used_blocks());
   };
 
   while (next < load.size() || engine.active_requests() > 0 ||
@@ -204,11 +191,13 @@ LoadReport run_load(ServeEngine& engine,
       report.wall_s > 0.0
           ? static_cast<double>(report.generated_tokens) / report.wall_s
           : 0.0;
-  report.ttft_p50_ms = load_percentile(ttfts, 50.0);
-  report.ttft_p95_ms = load_percentile(ttfts, 95.0);
-  report.ttft_p99_ms = load_percentile(ttfts, 99.0);
-  report.gap_p50_ms = load_percentile(gaps, 50.0);
-  report.gap_p99_ms = load_percentile(std::move(gaps), 99.0);
+  std::sort(ttfts.begin(), ttfts.end());
+  std::sort(gaps.begin(), gaps.end());
+  report.ttft_p50_ms = sorted_quantile(ttfts, 0.50);
+  report.ttft_p95_ms = sorted_quantile(ttfts, 0.95);
+  report.ttft_p99_ms = sorted_quantile(ttfts, 0.99);
+  report.gap_p50_ms = sorted_quantile(gaps, 0.50);
+  report.gap_p99_ms = sorted_quantile(gaps, 0.99);
   const ServeCounters after = engine.counters();
   report.preemptions = after.preemptions - before.preemptions;
   report.shared_prefix_rows =

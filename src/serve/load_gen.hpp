@@ -95,8 +95,4 @@ struct LoadReport {
 /// deltas assume no prior traffic).
 LoadReport run_load(ServeEngine& engine, const std::vector<LoadRequest>& load);
 
-/// p in [0, 100]; linear interpolation between order statistics. Returns 0
-/// for an empty sample.
-double load_percentile(std::vector<double> values, double p);
-
 }  // namespace ft2

@@ -1,8 +1,8 @@
 // SLO-aware admission scheduler for the serve engine.
 //
-// The ServeEngine of PR 2 admitted FIFO and ran each request's whole
-// prefill at admission — a long prompt stalled every decoding request, and
-// dense max_seq KvCaches meant memory, not compute, capped concurrency.
+// Admitting FIFO and running each request's whole prefill at admission
+// lets a long prompt stall every decoding request, and reserving a whole
+// max_seq sequence per request makes memory, not compute, cap concurrency.
 // This scheduler supplies the policy for production serving:
 //
 //  * priority + deadline admission — the queue drains highest priority

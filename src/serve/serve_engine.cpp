@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <optional>
 
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
@@ -30,6 +31,21 @@ std::uint64_t prefix_digest(std::span<const int> tokens, bool fp16,
   mix(fp16 ? 2 : 3);
   mix(chunked_accum ? 5 : 7);
   return h;
+}
+
+/// Fills in the default pool size: capacity parity with max_batch whole
+/// max_seq sequences, so the default configuration never preempts.
+ServeOptions with_pool_size(ServeOptions o, const ModelConfig& cfg) {
+  FT2_CHECK_MSG(o.max_batch >= 1, "max_batch must be at least 1");
+  FT2_CHECK_MSG(o.kv_block_rows >= 1, "kv_block_rows must be >= 1");
+  const std::size_t per_seq =
+      (cfg.max_seq + o.kv_block_rows - 1) / o.kv_block_rows;
+  if (o.kv_pool_blocks == 0) o.kv_pool_blocks = o.max_batch * per_seq;
+  FT2_CHECK_MSG(o.kv_pool_blocks >= per_seq,
+                "kv_pool_blocks " << o.kv_pool_blocks
+                                  << " cannot hold one max_seq sequence ("
+                                  << per_seq << " blocks)");
+  return o;
 }
 }  // namespace
 
@@ -98,26 +114,10 @@ void ServeEngine::erase_ptr(std::vector<Request*>& list, Request* req) {
 
 ServeEngine::ServeEngine(const TransformerLM& model, ServeOptions options)
     : model_(model),
-      options_(options),
-      ws_(model.config(), std::max<std::size_t>(options.max_batch, 1)) {
-  FT2_CHECK_MSG(options_.max_batch >= 1, "max_batch must be at least 1");
-  if (options_.paged) {
-    const ModelConfig& cfg = model_.config();
-    FT2_CHECK_MSG(options_.kv_block_rows >= 1, "kv_block_rows must be >= 1");
-    const std::size_t per_seq =
-        (cfg.max_seq + options_.kv_block_rows - 1) / options_.kv_block_rows;
-    if (options_.kv_pool_blocks == 0) {
-      // Capacity parity with the dense engine: every slot can hold a full
-      // max_seq sequence, so the default configuration never preempts.
-      options_.kv_pool_blocks = options_.max_batch * per_seq;
-    }
-    FT2_CHECK_MSG(options_.kv_pool_blocks >= per_seq,
-                  "kv_pool_blocks " << options_.kv_pool_blocks
-                                    << " cannot hold one max_seq sequence ("
-                                    << per_seq << " blocks)");
-    pool_storage_.emplace(cfg.n_blocks, cfg.d_model, options_.kv_pool_blocks,
-                          options_.kv_block_rows);
-  }
+      options_(with_pool_size(options, model.config())),
+      kv_pool_(model.config().n_blocks, model.config().d_model,
+               options_.kv_pool_blocks, options_.kv_block_rows),
+      ws_(model.config(), options_.max_batch) {
   tracer_ = options_.obs.tracer != nullptr ? options_.obs.tracer
                                            : &Tracer::global();
   MetricsRegistry* reg =
@@ -176,12 +176,10 @@ RequestId ServeEngine::submit(std::span<const int> prompt,
                              << options_.max_queue_depth << " reached");
   }
   const RequestId id = next_id_++;
-  KvCache cache = pool_storage_.has_value()
-                      ? KvCache::paged(*pool_storage_, model_.config().max_seq)
-                      : model_.make_cache();
   auto [it, inserted] = requests_.emplace(
-      id, std::make_unique<Request>(id, model_, prompt, options,
-                                    std::move(cache)));
+      id, std::make_unique<Request>(
+              id, model_, prompt, options,
+              KvCache::paged(kv_pool_, model_.config().max_seq)));
   Request& req = *it->second;
   req.sched = SchedEntry{id, sched.priority, sched.deadline_ms, next_seq_++};
   req.on_token = sched.on_token;
@@ -220,39 +218,29 @@ const RequestStats& ServeEngine::request_stats(RequestId id) const {
 }
 
 std::size_t ServeEngine::resident_cache_bytes() const {
+  // Distinct pool blocks mapped by unfinished requests: a block shared by
+  // several requests (copy-on-write prefix sharing) counts once.
   std::size_t total = 0;
-  if (pool_storage_.has_value()) {
-    // Distinct pool blocks mapped by unfinished requests: a block shared by
-    // several requests (copy-on-write prefix sharing) counts once.
-    std::vector<char> seen(pool_storage_->total_blocks(), 0);
-    std::size_t distinct = 0;
-    for (const auto& [id, req] : requests_) {
-      if (req->done) continue;
-      for (const KvCache::BlockId b : req->cache.block_table()) {
-        if (!seen[b]) {
-          seen[b] = 1;
-          ++distinct;
-        }
-      }
-      if (req->swapped.has_value()) total += req->swapped->memory_bytes();
-    }
-    total += distinct * pool_storage_->block_bytes();
-    return total;
-  }
+  std::vector<char> seen(kv_pool_.total_blocks(), 0);
+  std::size_t distinct = 0;
   for (const auto& [id, req] : requests_) {
-    if (!req->done) total += req->cache.memory_bytes();
+    if (req->done) continue;
+    for (const KvCache::BlockId b : req->cache.block_table()) {
+      if (!seen[b]) {
+        seen[b] = 1;
+        ++distinct;
+      }
+    }
+    if (req->swapped.has_value()) total += req->swapped->memory_bytes();
   }
-  return total;
+  return total + distinct * kv_pool_.block_bytes();
 }
 
 void ServeEngine::update_kv_gauges() {
-  if (!pool_storage_.has_value()) return;
-  metrics_.kv_blocks_used.set(
-      static_cast<double>(pool_storage_->used_blocks()));
-  metrics_.kv_blocks_free.set(
-      static_cast<double>(pool_storage_->free_blocks()));
+  metrics_.kv_blocks_used.set(static_cast<double>(kv_pool_.used_blocks()));
+  metrics_.kv_blocks_free.set(static_cast<double>(kv_pool_.free_blocks()));
   metrics_.kv_bytes_resident.set(static_cast<double>(
-      pool_storage_->used_blocks() * pool_storage_->block_bytes()));
+      kv_pool_.used_blocks() * kv_pool_.block_bytes()));
 }
 
 void ServeEngine::emit_token(Request& req, int token) {
@@ -341,20 +329,16 @@ void ServeEngine::drop_one_prefix_entry() {
   for (auto it = prefix_cache_.begin(); it != prefix_cache_.end(); ++it) {
     if (it->second.last_use < victim->second.last_use) victim = it;
   }
-  if (pool_storage_.has_value()) {
-    for (const KvCache::BlockId b : victim->second.blocks) {
-      pool_storage_->release(b);
-    }
-  }
+  for (const KvCache::BlockId b : victim->second.blocks) kv_pool_.release(b);
   prefix_cache_.erase(victim);
 }
 
 void ServeEngine::try_adopt_prefix(Request& req) {
-  if (!options_.share_prefix || !pool_storage_.has_value()) return;
+  if (!options_.share_prefix) return;
   // Shared positions skip their hook dispatches along with their compute,
   // so only hook-free requests may adopt (see the bit-exactness contract).
   if (!req.hooks.empty()) return;
-  const std::size_t bs = pool_storage_->block_rows();
+  const std::size_t bs = kv_pool_.block_rows();
   const std::size_t P = req.prefill_len(model_.config().max_seq);
   if (P < 2) return;
   // Longest full-block prefix that still leaves the last prompt position to
@@ -385,9 +369,8 @@ void ServeEngine::try_adopt_prefix(Request& req) {
 }
 
 void ServeEngine::register_prefix(Request& req) {
-  if (!options_.share_prefix || !pool_storage_.has_value()) return;
-  if (!req.hooks.empty()) return;
-  const std::size_t bs = pool_storage_->block_rows();
+  if (!options_.share_prefix || !req.hooks.empty()) return;
+  const std::size_t bs = kv_pool_.block_rows();
   const std::size_t P = req.prefill_len(model_.config().max_seq);
   if (P < 2) return;
   const std::size_t nb = (P - 1) / bs;
@@ -407,10 +390,9 @@ void ServeEngine::register_prefix(Request& req) {
   }
   PrefixEntry entry;
   entry.tokens.assign(tokens.begin(), tokens.end());
-  entry.blocks.assign(req.cache.block_table().begin(),
-                      req.cache.block_table().begin() +
-                          static_cast<std::ptrdiff_t>(nb));
-  for (const KvCache::BlockId b : entry.blocks) pool_storage_->add_ref(b);
+  entry.blocks = req.cache.block_table();
+  entry.blocks.resize(nb);
+  for (const KvCache::BlockId b : entry.blocks) kv_pool_.add_ref(b);
   entry.fp16 = req.options.fp16;
   entry.chunked_accum = req.options.chunked_accum;
   entry.last_use = ++prefix_clock_;
@@ -468,7 +450,7 @@ bool ServeEngine::reserve_rows_or_evict(Request& req, std::size_t rows) {
       continue;
     }
     FT2_CHECK_MSG(options_.preempt != PreemptMode::kNone,
-                  "KvBlockPool exhausted (" << pool_storage_->total_blocks()
+                  "KvBlockPool exhausted (" << kv_pool_.total_blocks()
                                             << " blocks) with preemption off");
     // Evict a strictly worse-ordered slot-holder; when this request is
     // itself the worst, it yields its own slot back to the queue.
@@ -505,10 +487,7 @@ bool ServeEngine::begin_admission(Request& req) {
     // and resume never re-arm the scope.
     req.scope = GenerationScope(req.hooks);
     try_adopt_prefix(req);
-    return true;
-  }
-
-  if (req.swapped.has_value()) {
+  } else if (req.swapped.has_value()) {
     // Swap resume: restore the evicted rows verbatim. No forwards, no hook
     // dispatches, no budget cost — just block mapping plus a memcpy.
     const std::size_t rows = req.swapped->length();
@@ -523,10 +502,7 @@ bool ServeEngine::begin_admission(Request& req) {
     req.cache.advance(rows);
     req.swapped.reset();
     FT2_ASSERT(req.cache.length() == req.pos);
-    return true;
-  }
-
-  if (req.needs_replay) {
+  } else if (req.needs_replay) {
     // Recompute resume: re-run every position fed before the eviction —
     // prompt positions plus already-sampled tokens (the newest sampled
     // token is still pending, not fed). Victims are hook-free, so the
@@ -564,7 +540,12 @@ bool ServeEngine::begin_admission(Request& req) {
   }
   // else: preempted before any row was stored — resume exactly like a
   // fresh prefill continuation (the scope is already armed).
-  return true;
+
+  // Unpaged: the request holds blocks for a whole max_seq sequence from
+  // admission on (the dense baseline, as a reservation policy).
+  return options_.paged ||
+         reserve_rows_or_evict(
+             req, model_.config().max_seq - req.cache.length());
 }
 
 std::size_t ServeEngine::run_prefill_chunk(Request& req) {
@@ -673,20 +654,18 @@ void ServeEngine::admit_and_prefill() {
 void ServeEngine::decode_step() {
   if (active_.empty()) return;
 
-  if (pool_storage_.has_value()) {
-    // Every decoding sequence appends one K/V row this step; reserve them
-    // up front so pool pressure resolves through preemption instead of
-    // failing mid-forward. Work over ids: preemption edits active_.
-    std::vector<RequestId> ids;
-    ids.reserve(active_.size());
-    for (const Request* req : active_) ids.push_back(req->id);
-    for (const RequestId id : ids) {
-      Request& req = get(id);
-      if (req.phase != Request::Phase::kDecoding) continue;  // evicted above
-      reserve_rows_or_evict(req, 1);
-    }
-    if (active_.empty()) return;
+  // Every decoding sequence appends one K/V row this step; reserve them up
+  // front so pool pressure resolves through preemption instead of failing
+  // mid-forward. Work over ids: preemption edits active_.
+  std::vector<RequestId> ids;
+  ids.reserve(active_.size());
+  for (const Request* req : active_) ids.push_back(req->id);
+  for (const RequestId id : ids) {
+    Request& req = get(id);
+    if (req.phase != Request::Phase::kDecoding) continue;  // evicted above
+    reserve_rows_or_evict(req, 1);
   }
+  if (active_.empty()) return;
 
   metrics_.batch_occupancy.set(static_cast<double>(active_.size()));
   const bool timed = metrics_.decode_step_ms.enabled();

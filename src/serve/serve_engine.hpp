@@ -9,9 +9,10 @@
 // (TransformerLM::forward_batch), so weight traffic is amortized across
 // sequences.
 //
-// KV memory is paged by default: requests map fixed-size ref-counted
-// blocks from a KvBlockPool as they grow (nn/kv_pool.hpp) instead of
-// holding a dense max_seq allocation, so the pool — sized in bytes, like
+// Every request's K/V rows live in fixed-size ref-counted blocks of one
+// engine-owned KvBlockPool (nn/kv_pool.hpp). By default a request maps
+// blocks as it grows instead of reserving a whole max_seq sequence at
+// admission (ServeOptions::paged), so the pool — sized in bytes, like
 // accelerator VRAM — bounds concurrency by actual sequence length. Common
 // prompt prefixes of live hook-free requests share blocks copy-on-write
 // (shared system prompts prefill once); under pool pressure the scheduler
@@ -36,7 +37,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -59,15 +59,16 @@ class ThreadPool;
 struct ServeOptions {
   std::size_t max_batch = 8;   ///< max sequences holding slots per step
   ThreadPool* pool = nullptr;  ///< pool for GEMM fan-out (null = global)
-  /// Paged KV allocation (nn/kv_pool.hpp). Off: every request owns a dense
-  /// max_seq KvCache for its whole queued+active lifetime (the pre-paging
-  /// engine). Results are bit-exact either way.
+  /// Block reservation policy over the engine's KvBlockPool. On: a
+  /// request maps blocks as it grows. Off: a request reserves blocks for a
+  /// whole max_seq sequence at admission (the dense baseline); queued
+  /// requests hold none either way. Results are bit-exact either way.
   bool paged = true;
-  /// Rows per KV block in paged mode.
+  /// Rows per KV block.
   std::size_t kv_block_rows = 16;
-  /// Physical blocks in the pool. 0 = capacity parity with the dense
-  /// engine: max_batch * ceil(max_seq / kv_block_rows), so the default
-  /// never preempts. Must cover at least one full sequence.
+  /// Physical blocks in the pool. 0 = room for max_batch whole sequences:
+  /// max_batch * ceil(max_seq / kv_block_rows), so the default never
+  /// preempts. Must cover at least one full sequence.
   std::size_t kv_pool_blocks = 0;
 
   /// Queue-depth backpressure: submit() beyond this many queued requests
@@ -208,17 +209,14 @@ class ServeEngine {
     return active_.size() + prefilling_.size();
   }
 
-  /// K/V bytes actually resident for unfinished requests. Paged mode:
-  /// distinct pool blocks mapped by live requests (a block shared by
-  /// several requests counts ONCE) plus host-side swap copies of preempted
-  /// requests; queued requests hold no blocks. Dense mode: the max_seq
-  /// allocations of queued + active requests, as before.
+  /// K/V bytes actually resident for unfinished requests: distinct pool
+  /// blocks mapped by live requests (a block shared by several requests
+  /// counts ONCE) plus host-side swap copies of preempted requests; queued
+  /// requests hold no blocks.
   std::size_t resident_cache_bytes() const;
 
-  /// The paged block pool (null when ServeOptions::paged is off).
-  const KvBlockPool* kv_pool() const {
-    return pool_storage_.has_value() ? &*pool_storage_ : nullptr;
-  }
+  /// The block pool every request's K/V rows live in (never null).
+  const KvBlockPool* kv_pool() const { return &kv_pool_; }
 
  private:
   struct Request;
@@ -275,7 +273,7 @@ class ServeEngine {
   ServeOptions options_;
   Metrics metrics_;
   Tracer* tracer_ = nullptr;
-  std::optional<KvBlockPool> pool_storage_;  ///< paged mode only
+  KvBlockPool kv_pool_;
   Workspace ws_;
   std::unordered_map<RequestId, std::unique_ptr<Request>> requests_;
   Scheduler scheduler_;              ///< queued requests (policy order)

@@ -1,4 +1,4 @@
-// Forked-mode KvCache: shared immutable prefix + owned tail.
+// Forked KvCache: blocks borrowed from a shared snapshot + an owned tail.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -28,8 +28,8 @@ TEST(KvCacheFork, PrefixCopyIsCompact) {
     EXPECT_EQ(copy.key(0, p)[0], static_cast<float>(p));
     EXPECT_EQ(copy.value(0, p)[3], static_cast<float>(p));
   }
-  // [n, d] rows, keys + values, one block.
-  EXPECT_EQ(copy.memory_bytes(), 2 * 3 * 4 * sizeof(float));
+  // Block-granular: one kBlockRows-row block of keys + values.
+  EXPECT_EQ(copy.memory_bytes(), 2 * KvCache::kBlockRows * 4 * sizeof(float));
 }
 
 TEST(KvCacheFork, ForkReadsPrefixAndAppendsTail) {
@@ -40,11 +40,10 @@ TEST(KvCacheFork, ForkReadsPrefixAndAppendsTail) {
 
   KvCache fork = KvCache::forked(prefix, /*prefix_len=*/4, /*tail_rows=*/3);
   EXPECT_TRUE(fork.forked());
-  EXPECT_EQ(fork.prefix_len(), 4u);
   EXPECT_EQ(fork.length(), 4u);
   EXPECT_EQ(fork.max_seq(), 7u);
-  // Only the tail is owned: 3 rows of keys + values.
-  EXPECT_EQ(fork.memory_bytes(), 2 * 3 * 4 * sizeof(float));
+  // Block-granular: no block is held until a tail store copies one.
+  EXPECT_EQ(fork.memory_bytes(), 0u);
 
   // Prefix rows resolve through the shared cache; stores continue from the
   // fork point as if the prefix had been computed in place.
@@ -77,6 +76,84 @@ TEST(KvCacheFork, ZeroTailForkIsValid) {
   EXPECT_EQ(fork.max_seq(), 4u);
   EXPECT_EQ(fork.memory_bytes(), 0u);
   EXPECT_EQ(fork.key(0, 3)[1], 3.0f);
+}
+
+/// A snapshot in a caller-owned pool of 4-row blocks, so tests can watch
+/// the snapshot pool's block accounting while forks read it.
+std::shared_ptr<KvCache> pooled_snapshot(KvBlockPool& pool, std::size_t n) {
+  auto snap = std::make_shared<KvCache>(KvCache::paged(pool, 4 * n));
+  EXPECT_TRUE(snap->reserve_rows(n));
+  fill(*snap, n, pool.d_model());
+  return snap;
+}
+
+TEST(KvCacheFork, MidBlockForkCopiesTheBorrowedBlockOnFirstStore) {
+  KvBlockPool pool(/*n_layers=*/1, /*d_model=*/4, /*total_blocks=*/4,
+                   /*block_rows=*/4);
+  const std::shared_ptr<KvCache> snap = pooled_snapshot(pool, 6);
+  const std::vector<KvBlockPool::BlockId> snap_table = snap->block_table();
+  ASSERT_EQ(snap_table.size(), 2u);
+  ASSERT_EQ(pool.used_blocks(), 2u);
+
+  // Position 5 splits block 1: both forks borrow blocks 0 and 1 without
+  // taking a reference on them.
+  KvCache a = KvCache::forked(snap, 5, /*tail_rows=*/4);
+  KvCache b = KvCache::forked(snap, 5, /*tail_rows=*/4);
+  EXPECT_EQ(a.block_table(), snap_table);
+  EXPECT_EQ(a.memory_bytes(), 0u);
+  EXPECT_EQ(pool.ref_count(snap_table[1]), 1u);
+
+  // The first tail store copies borrowed block 1 into the fork's own pool.
+  const std::vector<float> ra(4, 50.0f);
+  const std::vector<float> rb(4, 60.0f);
+  a.store(0, 5, ra, ra);
+  a.advance();
+  b.store(0, 5, rb, rb);
+  b.advance();
+  EXPECT_EQ(a.memory_bytes(), pool.block_bytes());
+  EXPECT_EQ(a.key(0, 4)[0], 4.0f);  // copied with the block
+  EXPECT_EQ(a.key(0, 5)[0], 50.0f);
+  EXPECT_EQ(b.key(0, 5)[0], 60.0f);
+
+  // The snapshot's rows and its pool's accounting never change.
+  EXPECT_EQ(pool.used_blocks(), 2u);
+  EXPECT_EQ(pool.ref_count(snap_table[0]), 1u);
+  EXPECT_EQ(pool.ref_count(snap_table[1]), 1u);
+  EXPECT_EQ(snap->block_table(), snap_table);
+  for (std::size_t p = 0; p < 6; ++p) {
+    EXPECT_EQ(snap->key(0, p)[0], static_cast<float>(p));
+  }
+
+  // The copy is private from now on; crossing into block 2 maps a fresh
+  // block of the fork's own pool. The other fork stays independent.
+  a.store(0, 6, ra, ra);
+  a.advance();
+  EXPECT_EQ(a.memory_bytes(), pool.block_bytes());
+  fill(a, 9, 4);
+  EXPECT_EQ(a.memory_bytes(), 2 * pool.block_bytes());
+  EXPECT_EQ(a.key(0, 8)[0], 8.0f);
+  EXPECT_EQ(b.key(0, 5)[0], 60.0f);
+  EXPECT_EQ(b.length(), 6u);
+  EXPECT_EQ(pool.used_blocks(), 2u);
+}
+
+TEST(KvCacheFork, ZeroTailForkOwnsNoBlock) {
+  KvBlockPool pool(1, 4, /*total_blocks=*/2, /*block_rows=*/4);
+  std::shared_ptr<KvCache> snap = pooled_snapshot(pool, 6);
+  const KvBlockPool::BlockId split = snap->block_table()[1];
+
+  auto fork = std::make_unique<KvCache>(KvCache::forked(snap, 6, 0));
+  EXPECT_EQ(fork->memory_bytes(), 0u);
+  EXPECT_EQ(pool.used_blocks(), 2u);
+  EXPECT_EQ(pool.ref_count(split), 1u);
+
+  // The fork keeps the snapshot's blocks alive after every other holder
+  // lets go, and releases them with its last reference.
+  snap.reset();
+  EXPECT_EQ(fork->key(0, 5)[0], 5.0f);
+  EXPECT_EQ(pool.used_blocks(), 2u);
+  fork.reset();
+  EXPECT_EQ(pool.used_blocks(), 0u);
 }
 
 }  // namespace

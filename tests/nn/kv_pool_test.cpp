@@ -1,6 +1,6 @@
-// KvBlockPool and paged-mode KvCache semantics:
+// KvBlockPool and paged KvCache semantics:
 //   - block allocation is LIFO, ref-counted and exhaustion-safe;
-//   - a paged cache stores/reads bit-identically to a dense cache;
+//   - a paged cache stores/reads bit-identically to a standalone cache;
 //   - reserve_rows is all-or-nothing under pool exhaustion;
 //   - copy-on-write isolates sharers (cache copies and adopted prefixes);
 //   - adopt_shared_prefix keeps blocks alive past the donor's release;
@@ -127,9 +127,7 @@ TEST(KvCachePaged, StoreReadMatchesDense) {
   KvBlockPool pool(kLayers, kDModel, /*total_blocks=*/4, kBlockRows);
   KvCache dense(kLayers, max_seq, kDModel);
   KvCache paged = KvCache::paged(pool, max_seq);
-  EXPECT_TRUE(paged.paged());
-  EXPECT_FALSE(dense.paged());
-  EXPECT_EQ(paged.physical_rows(), 0u);
+  EXPECT_TRUE(paged.block_table().empty());
 
   for (std::size_t pos = 0; pos < max_seq; ++pos) {
     ASSERT_TRUE(paged.reserve_rows(1));
@@ -138,7 +136,6 @@ TEST(KvCachePaged, StoreReadMatchesDense) {
   }
   EXPECT_EQ(paged.length(), dense.length());
   EXPECT_EQ(paged.block_table().size(), 4u);
-  EXPECT_EQ(paged.physical_rows(), max_seq);
   for (std::size_t pos = 0; pos < max_seq; ++pos) {
     expect_row(dense, pos, "dense");
     expect_row(paged, pos, "paged");
@@ -229,7 +226,7 @@ TEST(KvCachePaged, PrefixCopyMatchesStoredRows) {
 
   // The swap-preemption snapshot: a compact dense copy of the first rows.
   const KvCache snapshot = paged.prefix_copy(2);
-  EXPECT_FALSE(snapshot.paged());
+  EXPECT_EQ(pool.used_blocks(), 2u);  // the copy lives in its own pool
   EXPECT_EQ(snapshot.length(), 2u);
   for (std::size_t pos = 0; pos < 2; ++pos) {
     expect_row(snapshot, pos, "prefix_copy");
@@ -247,7 +244,6 @@ TEST(KvCachePaged, ReleaseStorageKeepsCacheReusable) {
   // paged cache over the same pool and can be refilled.
   cache.release_storage();
   EXPECT_EQ(pool.used_blocks(), 0u);
-  EXPECT_TRUE(cache.paged());
   EXPECT_EQ(cache.length(), 0u);
   ASSERT_TRUE(cache.reserve_rows(2));
   append_row(cache, 0);

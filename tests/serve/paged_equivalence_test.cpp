@@ -46,12 +46,8 @@ TEST(PagedEquivalence, MatchesDenseAndSoloAcrossBatchesAndBudgets) {
           expect_equal_results(engine.result(ids[r]), ref[r], r,
                                paged ? "paged" : "dense");
         }
-        if (paged) {
-          ASSERT_NE(engine.kv_pool(), nullptr);
-          EXPECT_EQ(engine.kv_pool()->used_blocks(), 0u);
-        } else {
-          EXPECT_EQ(engine.kv_pool(), nullptr);
-        }
+        ASSERT_NE(engine.kv_pool(), nullptr);
+        EXPECT_EQ(engine.kv_pool()->used_blocks(), 0u);
       }
     }
   }

@@ -407,15 +407,51 @@ TEST(ServeScheduler, ResidentBytesCountSharedBlocksOnce) {
   expect_equal_tokens(engine.result(b), ref, 1, "resident sharer");
   expect_equal_tokens(engine.result(c), ref, 2, "resident sharer");
 
-  // Dense mode keeps the original semantics: queued requests already hold
-  // their dense max_seq cache.
+  // Unpaged requests reserve a whole max_seq sequence, but only from
+  // admission on: a queued request holds nothing.
   ServeOptions dense_opts;
   dense_opts.paged = false;
   ServeEngine dense(model, dense_opts);
   dense.submit(prompt, gen);
+  EXPECT_EQ(dense.resident_cache_bytes(), 0u);
+  dense.step();
   EXPECT_GT(dense.resident_cache_bytes(), 0u);
   dense.run();
   EXPECT_EQ(dense.resident_cache_bytes(), 0u);
+}
+
+TEST(ServeScheduler, UnpagedRequestReservesWholeSequenceAtAdmission) {
+  const TransformerLM model = micro_model();
+  const std::vector<int> prompt = long_prompt(model, 13, 5);
+  GenerateOptions gen;
+  gen.max_new_tokens = 4;
+  gen.eos_token = -1;
+
+  ServeOptions serve_opts;
+  serve_opts.max_batch = 1;
+  serve_opts.kv_block_rows = 8;
+  serve_opts.paged = false;
+  ServeEngine engine(model, serve_opts);
+  const std::size_t per_seq = (model.config().max_seq + 7) / 8;
+
+  const RequestId a = engine.submit(prompt, gen);
+  const RequestId b = engine.submit(prompt, gen);
+  EXPECT_EQ(engine.kv_pool()->used_blocks(), 0u);  // both queued
+
+  // One slot: a is admitted with a whole sequence, b waits holding nothing.
+  engine.step();
+  EXPECT_EQ(engine.active_requests(), 1u);
+  EXPECT_EQ(engine.queue_depth(), 1u);
+  EXPECT_EQ(engine.kv_pool()->used_blocks(), per_seq);
+  EXPECT_EQ(engine.resident_cache_bytes(),
+            per_seq * engine.kv_pool()->block_bytes());
+
+  engine.run();
+  EXPECT_EQ(engine.kv_pool()->used_blocks(), 0u);
+  InferenceSession session(model);
+  const GenerateResult ref = session.generate(prompt, gen);
+  expect_equal_tokens(engine.result(a), ref, 0, "unpaged");
+  expect_equal_tokens(engine.result(b), ref, 1, "unpaged");
 }
 
 TEST(ServeScheduler, SharerSurvivesRegistryEviction) {
