@@ -60,8 +60,9 @@ GenerateOptions fixed_length_options(std::size_t gen_tokens, ValueType vtype,
   return options;
 }
 
-/// Buckets for campaign.prefix.reused_positions: powers of two up to 2048
-/// skipped positions (prefill + fault-free decode prefix per forked trial).
+/// Buckets for campaign.prefix.reused_positions and
+/// campaign.prefix.suffix_saved_positions: powers of two up to 2048 skipped
+/// positions per trial.
 std::span<const double> reused_positions_buckets() {
   static const std::vector<double> buckets = exponential_buckets(1.0, 2.0, 12);
   return buckets;
@@ -203,12 +204,17 @@ CampaignResult run_campaign_range_impl(
   // with its KV rows, online bounds and per-boundary hook state captured —
   // so decode-phase trials fork from it instead of replaying the prefix.
   // The recording hook publishes NO metrics; each forked trial re-publishes
-  // the skipped prefix's protect.* increments on restore, keeping registry
-  // totals bit-identical to full replay. With first_token_only every fault
-  // lands in the prefill and reuse never applies, so skip the recordings.
+  // the skipped prefix's protect.* increments on restore, and the skipped
+  // suffix's when it rejoins the recording, keeping registry totals
+  // bit-identical to full replay. With first_token_only every fault lands
+  // in the prefill and reuse never applies, so skip the recordings.
   struct PrefixRecording {
     SessionSnapshot snap;
     std::vector<ProtectionState> hook_at;  ///< per token boundary
+    /// detect_after[b]: the first position after boundary b at which the
+    /// recording corrected anything (-1: none) — the first-detect position
+    /// of a suffix replayed from b.
+    std::vector<long long> detect_after;
   };
   std::vector<PrefixRecording> recordings;
   const bool reuse =
@@ -228,8 +234,18 @@ CampaignResult run_campaign_range_impl(
       session.generate_recorded(
           inputs[i].prompt, trial_options, rec.snap,
           [&](std::size_t) { rec.hook_at.push_back(protection.capture_state()); });
+      // The forward between boundaries b and b + 1 runs at position
+      // prompt_len + b.
+      rec.detect_after.assign(rec.hook_at.size(), -1);
+      for (std::size_t b = rec.hook_at.size() - 1; b-- > 0;) {
+        rec.detect_after[b] =
+            rec.hook_at[b + 1].corrections() > rec.hook_at[b].corrections()
+                ? static_cast<long long>(rec.snap.prompt_len + b)
+                : rec.detect_after[b + 1];
+      }
     });
   }
+
 
   // campaign.* handles are resolved once here (the registry mutex is only
   // taken at registration), so trial threads touch nothing but striped
@@ -244,6 +260,8 @@ CampaignResult run_campaign_range_impl(
     Counter prefix_hit;   ///< trials forked from the fault-free snapshot
     Counter prefix_miss;  ///< trials that fell back to the full run
     HistogramMetric prefix_reused;  ///< positions skipped per forked trial
+    Counter suffix_hit;  ///< forked trials that rejoined the recording
+    HistogramMetric suffix_saved;  ///< decode forwards skipped per rejoin
   } cm;
   if (reg != nullptr) {
     cm.trials = reg->counter("campaign.trials");
@@ -263,6 +281,9 @@ CampaignResult run_campaign_range_impl(
       cm.prefix_miss = reg->counter("campaign.prefix.miss");
       cm.prefix_reused = reg->histogram("campaign.prefix.reused_positions",
                                         reused_positions_buckets());
+      cm.suffix_hit = reg->counter("campaign.prefix.suffix_hit");
+      cm.suffix_saved = reg->histogram(
+          "campaign.prefix.suffix_saved_positions", reused_positions_buckets());
     }
   }
 
@@ -325,6 +346,16 @@ CampaignResult run_campaign_range_impl(
     // the last executed forward clamp to the final boundary: zero forwards
     // run, the injector never fires, and the restored hook state carries
     // the full run's detections — exactly what full replay produces.
+    //
+    // Suffix reuse: once every injector has fired, the session compares
+    // its own state with the recording after each forward (see
+    // InferenceSession::resume_from) and asks `rejoined` about the hooks.
+    // A fault masked within its own steps leaves the trial's K/V rows,
+    // tokens and scheme state equal to the recording's, so the rest of the
+    // run is the recording's: the session takes its suffix and the
+    // protection hook replays the suffix's dispatches. The drift monitor,
+    // like any observer, sees only the dispatches the trial runs itself,
+    // as with the skipped prefix.
     GenerateResult result;
     bool forked = false;
     if (reuse) {
@@ -336,13 +367,29 @@ CampaignResult run_campaign_range_impl(
       if (rec.snap.valid() && first_pos >= rec.snap.prompt_len) {
         const std::size_t fork_pos =
             std::min(first_pos, rec.snap.last_boundary());
-        result = session.resume_from(rec.snap, fork_pos, [&] {
-          protection.restore_state(
-              rec.hook_at[fork_pos - rec.snap.prompt_len]);
-        });
+        const auto rejoined = [&](std::size_t b) {
+          for (const auto& injector : injectors) {
+            if (!injector.fired()) return false;
+          }
+          return protection.scheme().state_matches(rec.hook_at[b].scheme.get());
+        };
+        result = session.resume_from(
+            rec.snap, fork_pos,
+            [&] {
+              protection.restore_state(
+                  rec.hook_at[fork_pos - rec.snap.prompt_len]);
+            },
+            rejoined);
         forked = true;
         cm.prefix_hit.inc();
         cm.prefix_reused.observe(static_cast<double>(fork_pos));
+        if (const std::size_t b = result.rejoined_at; b != 0) {
+          protection.replay(rec.hook_at[b], rec.hook_at.back(),
+                            rec.detect_after[b]);
+          cm.suffix_hit.inc();
+          cm.suffix_saved.observe(static_cast<double>(
+              rec.snap.result.positions_run - rec.snap.prompt_len - b));
+        }
       }
     }
     if (!forked) {

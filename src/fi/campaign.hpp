@@ -62,16 +62,21 @@ struct CampaignConfig {
   /// inert unless FT2_TRACE is set. Both sinks are observational only:
   /// outcomes and trial records are bit-identical with them on or off.
   ObsSinks obs;
-  /// Fault-free prefix reuse: run each input's fault-free generation once,
-  /// snapshot it (KV rows, online first-token bounds, RNG/position state),
-  /// and fork every decode-phase trial from the snapshot at its first
-  /// injection position instead of replaying prefill plus the fault-free
-  /// decode prefix from token 0. Trials whose first fault lands in the
-  /// prefill fall back to the full run. Like `prefill_chunk` and `pool`
-  /// this is a pure throughput knob: outcomes, per-trial records,
-  /// detections and protect.* counters are bit-identical on or off (a
-  /// single-fault trial is bit-identical to the fault-free run up to its
-  /// injection position, so nothing skipped could have differed).
+  /// Fault-free prefix and suffix reuse: run each input's fault-free
+  /// generation once, snapshot it (KV rows, online first-token bounds,
+  /// RNG/position state, per-boundary hook state), and fork every
+  /// decode-phase trial from the snapshot at its first injection position
+  /// instead of replaying prefill plus the fault-free decode prefix from
+  /// token 0. Trials whose first fault lands in the prefill fall back to
+  /// the full run. Once every fault of a forked trial has fired and a
+  /// forward leaves its K/V rows, token and scheme state bit-identical to
+  /// the recording's (DetectionScheme::state_matches), the trial stops and
+  /// takes the recorded suffix, replaying its protection tallies. Like
+  /// `prefill_chunk` and `pool` this is a pure throughput knob: outcomes,
+  /// per-trial records, detections and protect.* counters are
+  /// bit-identical on or off (a trial is bit-identical to the fault-free
+  /// run up to its injection position and again from the point its state
+  /// rejoins it, so nothing skipped could have differed).
   bool prefix_reuse = true;
   /// Record per-trial ClipEvents (layer kind, position, original value) on
   /// each trial's protection hook so TrialRecord::clips carries them. Off
@@ -81,7 +86,9 @@ struct CampaignConfig {
   /// Attach a BoundDriftMonitor behind each trial's protection hook,
   /// publishing protect.headroom.* to the campaign registry. Strictly
   /// observational: outcomes, detections and protect.* counters are
-  /// bit-identical with the monitor on or off.
+  /// bit-identical with the monitor on or off. With prefix_reuse it sees
+  /// only the dispatches a trial runs itself (not a skipped prefix or
+  /// suffix).
   bool drift_monitor = false;
 };
 

@@ -13,8 +13,14 @@ namespace {
 
 /// "[lo%, hi%]" interval cell.
 std::string ci_cell(double lo, double hi) {
-  return "[" + Table::format_pct(lo, 2) + ", " + Table::format_pct(hi, 2) +
-         "]";
+  // Appended piece by piece: `"[" + std::string` draws a false GCC 12
+  // -Wrestrict at -O3.
+  std::string cell = "[";
+  cell += Table::format_pct(lo, 2);
+  cell += ", ";
+  cell += Table::format_pct(hi, 2);
+  cell += ']';
+  return cell;
 }
 
 std::string wilson_cell(std::size_t k, std::size_t n,

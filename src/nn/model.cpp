@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <numeric>
 #include <utility>
@@ -590,7 +591,7 @@ int sample_from_logits(std::span<const float> logits, float temperature,
 void InferenceSession::decode_loop(
     const GenerateOptions& options, std::size_t first_step, std::size_t pos,
     Xoshiro256& sampler, GenerateResult& result,
-    const std::function<void(std::size_t)>& on_token,
+    const std::function<bool(std::size_t)>& on_token,
     const std::function<void(std::size_t)>& after_forward) {
   const ExecConfig exec{options.fp16, options.chunked_accum, options.pool};
   const std::size_t max_seq = model_.config().max_seq;
@@ -607,7 +608,7 @@ void InferenceSession::decode_loop(
             : static_cast<int>(argmax(logits));
     if (options.eos_token >= 0 && next == options.eos_token) break;
     result.tokens.push_back(next);
-    if (on_token) on_token(step);
+    if (on_token && !on_token(step)) break;
     if (step + 1 == options.max_new_tokens || pos >= max_seq) {
       result.hit_max = true;
       break;
@@ -663,7 +664,10 @@ GenerateResult InferenceSession::generate_recorded(
   decode_loop(
       options, 0, pos, sampler, result,
       /*on_token=*/
-      [&](std::size_t) { snap.rng_at.push_back(sampler.state()); },
+      [&](std::size_t) {
+        snap.rng_at.push_back(sampler.state());
+        return true;
+      },
       /*after_forward=*/
       [&](std::size_t step) {
         if (on_boundary) on_boundary(step + 1);
@@ -680,7 +684,8 @@ GenerateResult InferenceSession::generate_recorded(
 
 GenerateResult InferenceSession::resume_from(
     const SessionSnapshot& snap, std::size_t pos,
-    const std::function<void()>& on_resume) {
+    const std::function<void()>& on_resume,
+    const std::function<bool(std::size_t)>& hooks_rejoined) {
   FT2_CHECK(snap.valid());
   FT2_CHECK_MSG(pos >= snap.prompt_len && pos <= snap.last_boundary(),
                 "fork position " << pos << " outside ["
@@ -720,7 +725,46 @@ GenerateResult InferenceSession::resume_from(
                           /*first_token_phase=*/false, ws_, logits);
   ++pos;
   ++result.positions_run;
-  decode_loop(options, s + 1, pos, sampler, result, {}, {});
+  if (!hooks_rejoined) {
+    decode_loop(options, s + 1, pos, sampler, result, {}, {});
+    return result;
+  }
+
+  // Suffix reuse. At token `step` the session has just sampled from the
+  // logits of the forward at position prompt_len + step - 1; rows before
+  // that position are the snapshot's (shared, or compared at an earlier
+  // step), so the rows that forward stored, the token and the RNG state
+  // are all the session itself owns that could still differ.
+  const KvCache& recorded = *snap.cache;
+  const std::size_t row_bytes = model_.config().d_model * sizeof(float);
+  const auto same_row = [row_bytes](std::span<const float> a,
+                                    std::span<const float> b) {
+    return std::memcmp(a.data(), b.data(), row_bytes) == 0;
+  };
+  bool diverged = false;
+  decode_loop(
+      options, s + 1, pos, sampler, result,
+      /*on_token=*/
+      [&](std::size_t step) {
+        const std::size_t q = snap.prompt_len + step - 1;
+        // Nothing left to skip: the recording ran no forward past here.
+        if (diverged || q + 1 >= snap.result.positions_run) return true;
+        diverged = result.tokens.back() != snap.result.tokens[step] ||
+                   (options.temperature > 0.0f &&
+                    sampler.state() != snap.rng_at[step]);
+        for (std::size_t l = 0; l < model_.config().n_blocks && !diverged;
+             ++l) {
+          diverged = !same_row(cache_.key(l, q), recorded.key(l, q)) ||
+                     !same_row(cache_.value(l, q), recorded.value(l, q));
+        }
+        if (diverged || !hooks_rejoined(step)) return true;
+        result.tokens = snap.result.tokens;
+        result.positions_run = snap.result.positions_run;
+        result.hit_max = snap.result.hit_max;
+        result.rejoined_at = step;
+        return false;
+      },
+      {});
   return result;
 }
 

@@ -231,6 +231,10 @@ struct GenerateResult {
   std::size_t positions_run = 0;  ///< forward positions executed
   bool hit_max = false;           ///< stopped by max_new_tokens/max_seq
   bool cancelled = false;         ///< stopped early by ServeEngine::cancel
+  /// resume_from with a rejoin predicate: the token boundary at which the
+  /// fork rejoined its recording and took the recorded rest of the run (0 =
+  /// it ran every forward itself).
+  std::size_t rejoined_at = 0;
 };
 
 /// Runs the blocked prompt prefill exactly as InferenceSession::generate
@@ -329,8 +333,23 @@ class InferenceSession {
   /// the cache/RNG restored, before the first forward — restore hook state
   /// (ProtectionHook::restore_state) there, so the begin reset cannot
   /// clobber it.
-  GenerateResult resume_from(const SessionSnapshot& snap, std::size_t pos,
-                             const std::function<void()>& on_resume = {});
+  ///
+  /// Suffix reuse: with `hooks_rejoined` set, the fork also watches for the
+  /// moment its own state is the recording's again. After each decode
+  /// forward it compares the K/V rows that forward stored (every layer,
+  /// bit for bit) with the snapshot's, then the token sampled from its
+  /// logits and, when sampling, the RNG state. The first difference marks
+  /// the run diverged: comparing stops and it runs to the end. While all
+  /// of it matches, `hooks_rejoined(b)` is asked at token boundary b; true
+  /// means the hooks' state is the recording's too, so every later forward
+  /// would repeat the recording. The session then stops and copies the
+  /// recorded rest of the run (tokens, positions_run, hit_max), and
+  /// result.rejoined_at reports b. The caller replays the hooks' share of
+  /// the skipped forwards (ProtectionHook::replay).
+  GenerateResult resume_from(
+      const SessionSnapshot& snap, std::size_t pos,
+      const std::function<void()>& on_resume = {},
+      const std::function<bool(std::size_t)>& hooks_rejoined = {});
 
  private:
   /// Empties the cache for a fresh generation, reallocating it only
@@ -340,12 +359,13 @@ class InferenceSession {
 
   /// The decode loop shared by generate / generate_recorded / resume_from
   /// (one structure, so the three paths cannot drift). `on_token(step)`
-  /// fires right after a token is pushed; `after_forward(step)` after the
-  /// forward that ends iteration `step`.
+  /// fires right after a token is pushed and returns false to end the run
+  /// there; `after_forward(step)` fires after the forward that ends
+  /// iteration `step`.
   void decode_loop(const GenerateOptions& options, std::size_t first_step,
                    std::size_t pos, Xoshiro256& sampler,
                    GenerateResult& result,
-                   const std::function<void(std::size_t)>& on_token,
+                   const std::function<bool(std::size_t)>& on_token,
                    const std::function<void(std::size_t)>& after_forward);
 
   const TransformerLM& model_;

@@ -75,6 +75,10 @@ constexpr Template kTemplates[] = {
      "trials that fell back to a full run"},
     {"campaign.prefix.reused_positions", "histogram",
      "positions skipped per forked trial"},
+    {"campaign.prefix.suffix_hit", "counter",
+     "forked trials that rejoined the fault-free recording"},
+    {"campaign.prefix.suffix_saved_positions", "histogram",
+     "positions skipped per trial that rejoined the recording"},
     // fi/shard.cpp
     {"campaign.shard.resumed", "counter",
      "trials recovered from an existing shard log on resume"},

@@ -18,6 +18,7 @@
 // --connect` need no curl dependency.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -65,7 +66,8 @@ class TelemetryEndpoint {
   Options options_;
   int listen_fd_ = -1;
   int bound_port_ = -1;
-  bool running_ = false;
+  /// Read by the serving thread while stop() clears it.
+  std::atomic<bool> running_{false};
   std::thread thread_;
 };
 

@@ -115,6 +115,19 @@ class DetectionScheme {
   /// accumulated. `state` may be null (no-op).
   virtual void restore_state(const SchemeState* state) { (void)state; }
 
+  /// Suffix reuse (campaign trials that rejoin their fault-free
+  /// recording): true when this scheme's state equals `recorded`, a
+  /// capture_state() of the recording, in everything but additive tallies,
+  /// so every later dispatch would act exactly as the recording's did. The
+  /// skipped dispatches are replayed from the driver's tallies alone, so a
+  /// scheme whose state still changes after `recorded`, or that publishes
+  /// private metrics, must answer false. The default declines, and a trial
+  /// under a declining scheme never stops early.
+  virtual bool state_matches(const SchemeState* recorded) const {
+    (void)recorded;
+    return false;
+  }
+
   /// Bounds views for monitors/tests; schemes without the corresponding
   /// store return a shared empty store.
   virtual const BoundStore& online_bounds() const { return empty_bounds(); }
@@ -157,6 +170,9 @@ class RangeRestrictScheme final : public DetectionScheme {
                        const EpilogueTally& tally) override;
   std::shared_ptr<const SchemeState> capture_state() const override;
   void restore_state(const SchemeState* state) override;
+  /// Compares the online bounds, which the first token fixes; offline
+  /// bounds never change within a generation.
+  bool state_matches(const SchemeState* recorded) const override;
   const BoundStore& online_bounds() const override { return online_bounds_; }
   const BoundStore& offline_bounds() const override { return offline_bounds_; }
 

@@ -134,28 +134,38 @@ ProtectionState ProtectionHook::capture_state() const {
 
 void ProtectionHook::restore_state(const ProtectionState& state) {
   scheme_->restore_state(state.scheme.get());
+  replay(ProtectionState{}, state, state.first_detect_pos);
+}
+
+void ProtectionHook::replay(const ProtectionState& from,
+                            const ProtectionState& to,
+                            long long first_detect) {
   for (std::size_t k = 0; k < kLayerKindCount; ++k) {
-    const ProtectionStats& s = state.kind_stats[k];
-    if (s.values_checked == 0 && s.nan_corrected == 0 && s.oob_corrected == 0) {
+    const ProtectionStats& a = from.kind_stats[k];
+    const ProtectionStats& b = to.kind_stats[k];
+    const ProtectionStats d{b.values_checked - a.values_checked,
+                            b.nan_corrected - a.nan_corrected,
+                            b.oob_corrected - a.oob_corrected};
+    if (d.values_checked == 0 && d.nan_corrected == 0 &&
+        d.oob_corrected == 0) {
       continue;
     }
-    kind_stats_[k].merge(s);
-    // Publish the skipped prefix's increments so the registry counters
+    kind_stats_[k].merge(d);
+    // Publish the skipped dispatches' increments so the registry counters
     // advance exactly as a full from-scratch run would have.
     KindMetrics& km = kind_metrics_[k];
-    km.checked.inc(s.values_checked);
-    km.nan.inc(s.nan_corrected);
-    km.oob.inc(s.oob_corrected);
+    km.checked.inc(d.values_checked);
+    km.nan.inc(d.nan_corrected);
+    km.oob.inc(d.oob_corrected);
   }
-  clip_log_ = state.clips;
-  if (state.first_detect_pos >= 0 &&
-      (first_detect_pos_ < 0 || state.first_detect_pos < first_detect_pos_)) {
-    first_detect_pos_ = state.first_detect_pos;
-  }
-  for (const ClipEvent& clip : state.clips) {
+  FT2_CHECK(from.clips.size() <= to.clips.size());
+  for (std::size_t i = from.clips.size(); i < to.clips.size(); ++i) {
+    const ClipEvent& clip = to.clips[i];
     kind_metrics_[static_cast<std::size_t>(clip.kind)].clip_magnitude.observe(
         std::abs(static_cast<double>(clip.original)));
+    if (capture_clips_) clip_log_.push_back(clip);
   }
+  if (first_detect_pos_ < 0) first_detect_pos_ = first_detect;
 }
 
 namespace {

@@ -70,6 +70,15 @@ struct ProtectionState {
   /// null when the scheme carries none). Immutable and shared: restoring
   /// never mutates the snapshot.
   std::shared_ptr<const SchemeState> scheme;
+
+  /// NaN plus out-of-bound corrections across all layer kinds.
+  std::size_t corrections() const {
+    std::size_t n = 0;
+    for (const ProtectionStats& s : kind_stats) {
+      n += s.nan_corrected + s.oob_corrected;
+    }
+    return n;
+  }
 };
 
 /// The built-in range-restriction scheme family (the paper's Table 1).
@@ -210,13 +219,24 @@ class ProtectionHook : public OutputHook {
   ProtectionState capture_state() const;
 
   /// Restores captured state into this hook as if it had processed the
-  /// recorded prefix itself: scheme-private state and per-kind tallies are
-  /// reinstated, the prefix's protect.* counter increments are published to
-  /// the metrics registry, and recorded clips replay into the
-  /// clip-magnitude histograms. Call after on_generation_begin (which
-  /// resets scheme state), e.g. from InferenceSession::resume_from's
-  /// on_resume hook.
+  /// recorded prefix itself: the scheme's private state is reinstated and
+  /// the prefix replays from an empty state (see replay). Call after
+  /// on_generation_begin (which resets scheme state), e.g. from
+  /// InferenceSession::resume_from's on_resume hook.
   void restore_state(const ProtectionState& state);
+
+  /// Publishes the dispatches a recorded run made between two of its
+  /// boundary states as if this hook had run them: the per-kind tallies
+  /// and the protect.* counters grow by `to` minus `from`, the clips
+  /// recorded in between replay into the clip-magnitude histograms (and
+  /// into the clip log while capture is on), and `first_detect` — the
+  /// earliest position at which one of those dispatches corrected
+  /// anything, -1 for none — becomes first_detect_position() unless the
+  /// hook already has one. Scheme state is left alone. restore_state
+  /// replays a forked trial's prefix this way, and a campaign trial that
+  /// rejoins its recording replays the recorded suffix.
+  void replay(const ProtectionState& from, const ProtectionState& to,
+              long long first_detect);
 
   /// Memory footprint of the per-site state this scheme stores (paper
   /// §5.2.2 — two bound floats per protected layer instance for the
