@@ -16,7 +16,7 @@ namespace {
 SchemeSpec with_coverage(const ModelConfig& config,
                          std::vector<LayerKind> covered) {
   SchemeSpec spec;
-  spec.kind = SchemeKind::kFt2;
+  spec.name = "ft2";
   spec.policy = ClipPolicy::kToBound;
   spec.correct_nan = true;
   spec.bound_scale = 2.0f;

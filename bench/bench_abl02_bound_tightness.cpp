@@ -28,8 +28,9 @@ int main() {
 
   Table table({"bounds", "SDC rate (95% CI)", "fault-free correct"});
   {
-    const auto none = run_campaign(*p.model, p.inputs, SchemeKind::kNone,
-                                   BoundStore{}, config);
+    const auto none = run_campaign(*p.model, p.inputs,
+                                   SchemeRef::parse("none"), BoundStore{},
+                                   config);
     table.begin_row().cell("(no protection)").cell(bench::sdc_cell(none))
         .pct(1.0);
   }

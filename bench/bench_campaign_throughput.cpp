@@ -190,7 +190,7 @@ int main(int argc, char** argv) {
     cfg["inputs"] = static_cast<double>(inputs.size());
     cfg["trials_per_input"] = static_cast<double>(trials);
     cfg["gen_tokens"] = static_cast<double>(gen_tokens);
-    cfg["scheme"] = scheme_name(spec.kind);
+    cfg["scheme"] = spec.name;
     cfg["threads"] = 1.0;
     cfg["smoke"] = smoke;
     out["config"] = cfg;

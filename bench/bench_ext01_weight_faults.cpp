@@ -23,17 +23,16 @@ int main() {
   Table table({"fault model", "scheme", "SDC rate (95% CI)"});
   for (FaultModel fm :
        {FaultModel::kSingleBit, FaultModel::kExponentBit}) {
-    for (SchemeKind sk : {SchemeKind::kNone, SchemeKind::kFt2}) {
+    for (const char* name : {"none", "ft2"}) {
       CampaignConfig config;
       config.fault_model = fm;
       config.trials_per_input = s.trials;
       config.gen_tokens = p.gen_tokens;
       const auto result = run_weight_fault_campaign(
-          model, p.inputs, scheme_spec(sk, model.config()), BoundStore{},
-          config);
+          model, p.inputs, SchemeRef::parse(name), BoundStore{}, config);
       table.begin_row()
           .cell(fault_model_name(fm))
-          .cell(scheme_name(sk))
+          .cell(name)
           .cell(bench::sdc_cell(result));
     }
   }

@@ -23,9 +23,10 @@ int main() {
     config.gen_tokens = p.gen_tokens;
     config.faults_per_trial = k;
 
-    const auto none = run_campaign(*p.model, p.inputs, SchemeKind::kNone,
-                                   BoundStore{}, config);
-    const auto ft2 = run_campaign(*p.model, p.inputs, SchemeKind::kFt2,
+    const auto none = run_campaign(*p.model, p.inputs,
+                                   SchemeRef::parse("none"), BoundStore{},
+                                   config);
+    const auto ft2 = run_campaign(*p.model, p.inputs, SchemeRef::parse("ft2"),
                                   BoundStore{}, config);
     const double reduction =
         none.sdc_rate() > 0 ? 1.0 - ft2.sdc_rate() / none.sdc_rate() : 0.0;

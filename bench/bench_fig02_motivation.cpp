@@ -26,14 +26,12 @@ int main() {
                "masked_semantic"});
   // Fig. 2 compares the paper's baselines only (no ft2_offline, no newer
   // registry schemes).
-  const SchemeKind kFigSchemes[] = {
-      SchemeKind::kNone, SchemeKind::kRanger, SchemeKind::kMaxiMals,
-      SchemeKind::kGlobalClipper, SchemeKind::kFt2,
-  };
-  for (SchemeKind kind : kFigSchemes) {
-    const auto result = run_campaign(*p.model, p.inputs, kind, bounds, config);
+  for (const char* name :
+       {"none", "ranger", "maximals", "global_clipper", "ft2"}) {
+    const auto result = run_campaign(*p.model, p.inputs,
+                                     SchemeRef::parse(name), bounds, config);
     table.begin_row()
-        .cell(scheme_name(kind))
+        .cell(name)
         .cell(bench::sdc_cell(result))
         .count(result.masked_identical)
         .count(result.masked_semantic);

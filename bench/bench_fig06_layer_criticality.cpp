@@ -12,7 +12,7 @@ namespace {
 
 SchemeSpec all_except(const ModelConfig& config, LayerKind excluded) {
   SchemeSpec spec;
-  spec.kind = SchemeKind::kFt2Offline;
+  spec.name = "ft2_offline";
   spec.policy = ClipPolicy::kToBound;
   spec.correct_nan = true;
   spec.needs_offline_bounds = true;

@@ -24,8 +24,9 @@ int main() {
 
   Table table({"configuration", "SDC rate (95% CI)"});
   {
-    const auto none = run_campaign(*p.model, p.inputs, SchemeKind::kNone,
-                                   BoundStore{}, config);
+    const auto none = run_campaign(*p.model, p.inputs,
+                                   SchemeRef::parse("none"), BoundStore{},
+                                   config);
     table.begin_row().cell("no protection").cell(bench::sdc_cell(none));
   }
   for (float scale : {1.0f, 1.25f, 1.5f, 2.0f, 3.0f, 4.0f}) {

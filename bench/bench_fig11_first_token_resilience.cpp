@@ -16,7 +16,7 @@ namespace {
 /// NaN-only correction on every linear layer (no bounds at all).
 SchemeSpec nan_only_spec(const ModelConfig& config) {
   SchemeSpec spec;
-  spec.kind = SchemeKind::kFt2;  // label only
+  spec.name = "ft2";  // label only
   spec.policy = ClipPolicy::kToBound;
   spec.correct_nan = true;
   for (LayerKind k : config.block_layers()) {
@@ -43,12 +43,11 @@ int main() {
     config.trials_per_input = s.trials * 2;
     config.gen_tokens = p.gen_tokens;
 
-    const auto none =
-        run_campaign(*p.model, p.inputs, SchemeKind::kNone, BoundStore{},
-                     config);
-    const auto ft2 =
-        run_campaign(*p.model, p.inputs, SchemeKind::kFt2, BoundStore{},
-                     config);
+    const auto none = run_campaign(*p.model, p.inputs,
+                                   SchemeRef::parse("none"), BoundStore{},
+                                   config);
+    const auto ft2 = run_campaign(*p.model, p.inputs, SchemeRef::parse("ft2"),
+                                  BoundStore{}, config);
     CampaignConfig first_only = config;
     first_only.first_token_only = true;
     const auto first = run_campaign(*p.model, p.inputs,

@@ -31,21 +31,21 @@ int main() {
 
   // The figure compares exactly the paper's Table 1 family; newer registry
   // schemes (abft-linear, ft2-adaptive) are not part of Fig. 13.
-  const SchemeKind kFigSchemes[] = {
-      SchemeKind::kNone,          SchemeKind::kRanger,
-      SchemeKind::kMaxiMals,      SchemeKind::kGlobalClipper,
-      SchemeKind::kFt2,           SchemeKind::kFt2Offline,
+  const std::string kFigSchemes[] = {
+      "none", "ranger", "maximals", "global_clipper", "ft2", "ft2_offline",
   };
 
   double sum_reduction = 0.0;
   double sum_none = 0.0, sum_ft2 = 0.0, sum_ft2_offline = 0.0;
-  std::map<SchemeKind, double> scheme_rate_sum;
+  std::map<std::string, double> scheme_rate_sum;
   std::size_t reductions = 0;
 
   for (FaultModel fm : all_fault_models()) {
     std::cout << "\n--- fault model: " << fault_model_name(fm) << " ---\n";
-    Table table({"model", "dataset", "none", "ranger", "maximals",
-                 "global_clipper", "ft2", "ft2_offline"});
+    std::vector<std::string> columns = {"model", "dataset"};
+    columns.insert(columns.end(), std::begin(kFigSchemes),
+                   std::end(kFigSchemes));
+    Table table(columns);
     for (const auto& cell : cells) {
       const auto p = bench::prepare(cell.model, cell.dataset, s.inputs);
       const BoundStore bounds = bench::offline_bounds(
@@ -58,23 +58,23 @@ int main() {
 
       table.begin_row().cell(cell.model).cell(dataset_name(cell.dataset));
       double none_rate = 0.0;
-      for (SchemeKind sk : kFigSchemes) {
-        const auto result = run_campaign(*p.model, p.inputs, sk, bounds,
-                                         config);
+      for (const std::string& name : kFigSchemes) {
+        const auto result = run_campaign(
+            *p.model, p.inputs, SchemeRef::parse(name), bounds, config);
         table.pct(result.sdc_rate(), 2);
-        scheme_rate_sum[sk] += result.sdc_rate();
-        if (sk == SchemeKind::kNone) {
+        scheme_rate_sum[name] += result.sdc_rate();
+        if (name == "none") {
           none_rate = result.sdc_rate();
           sum_none += none_rate;
         }
-        if (sk == SchemeKind::kFt2) {
+        if (name == "ft2") {
           sum_ft2 += result.sdc_rate();
           if (none_rate > 0.0) {
             sum_reduction += 1.0 - result.sdc_rate() / none_rate;
             ++reductions;
           }
         }
-        if (sk == SchemeKind::kFt2Offline) {
+        if (name == "ft2_offline") {
           sum_ft2_offline += result.sdc_rate();
         }
       }
@@ -86,10 +86,8 @@ int main() {
   std::cout << "\n=== summary across all " << cells.size() * 3
             << " (model, dataset, fault-model) cells ===\n";
   Table summary({"scheme", "average SDC rate"});
-  for (SchemeKind sk : kFigSchemes) {
-    summary.begin_row()
-        .cell(scheme_name(sk))
-        .pct(scheme_rate_sum[sk] / n_cells, 3);
+  for (const std::string& name : kFigSchemes) {
+    summary.begin_row().cell(name).pct(scheme_rate_sum[name] / n_cells, 3);
   }
   summary.print(std::cout);
   if (reductions > 0) {

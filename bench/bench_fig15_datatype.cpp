@@ -18,8 +18,11 @@ int main() {
         *p.model, DatasetKind::kSynthQA, s.profile_inputs, p.gen_tokens);
 
     std::cout << "\n--- " << model_name << " (EXP fault model) ---\n";
-    Table table({"dtype", "none", "ranger", "maximals", "global_clipper",
-                 "ft2"});
+    const std::vector<std::string> kFigSchemes = {
+        "none", "ranger", "maximals", "global_clipper", "ft2"};
+    std::vector<std::string> columns = {"dtype"};
+    columns.insert(columns.end(), kFigSchemes.begin(), kFigSchemes.end());
+    Table table(columns);
     for (ValueType vtype : {ValueType::kF16, ValueType::kF32}) {
       CampaignConfig config;
       config.fault_model = FaultModel::kExponentBit;
@@ -28,11 +31,9 @@ int main() {
       config.gen_tokens = p.gen_tokens;
 
       table.begin_row().cell(value_type_name(vtype));
-      for (SchemeKind sk :
-           {SchemeKind::kNone, SchemeKind::kRanger, SchemeKind::kMaxiMals,
-            SchemeKind::kGlobalClipper, SchemeKind::kFt2}) {
-        const auto result = run_campaign(*p.model, p.inputs, sk, bounds,
-                                         config);
+      for (const std::string& name : kFigSchemes) {
+        const auto result = run_campaign(
+            *p.model, p.inputs, SchemeRef::parse(name), bounds, config);
         table.pct(result.sdc_rate(), 2);
       }
     }

@@ -29,22 +29,23 @@ int main() {
                "H100-like (chunked)"});
   for (const auto& c : cases) {
     const auto p = bench::prepare(c.model, c.dataset, s.inputs);
-    for (SchemeKind sk : {SchemeKind::kNone, SchemeKind::kFt2}) {
+    for (const char* name : {"none", "ft2"}) {
+      const SchemeRef scheme = SchemeRef::parse(name);
       CampaignConfig config;
       config.fault_model = FaultModel::kExponentBit;
       config.trials_per_input = s.trials * 2;
       config.gen_tokens = p.gen_tokens;
 
       config.chunked_accum = false;
-      const auto a100 = run_campaign(*p.model, p.inputs, sk, BoundStore{},
-                                     config);
+      const auto a100 =
+          run_campaign(*p.model, p.inputs, scheme, BoundStore{}, config);
       config.chunked_accum = true;
-      const auto h100 = run_campaign(*p.model, p.inputs, sk, BoundStore{},
-                                     config);
+      const auto h100 =
+          run_campaign(*p.model, p.inputs, scheme, BoundStore{}, config);
       table.begin_row()
           .cell(c.model)
           .cell(dataset_name(c.dataset))
-          .cell(scheme_name(sk))
+          .cell(name)
           .cell(bench::sdc_cell(a100))
           .cell(bench::sdc_cell(h100));
     }

@@ -26,9 +26,11 @@ int main() {
     const LayerGraph graph = LayerGraph::build(cfg);
     t1.begin_row().cell(std::string(layer_kind_name(kind)));
     t1.cell(layer_is_critical(graph, kind) ? "Y" : "N");
-    for (SchemeKind sk : {SchemeKind::kRanger, SchemeKind::kMaxiMals,
-                          SchemeKind::kGlobalClipper, SchemeKind::kFt2}) {
-      t1.cell(scheme_spec(sk, cfg).covers(kind) ? "x" : "");
+    for (const SchemeSpec& spec : {scheme_spec(SchemeKind::kRanger, cfg),
+                                   scheme_spec(SchemeKind::kMaxiMals, cfg),
+                                   scheme_spec(SchemeKind::kGlobalClipper, cfg),
+                                   scheme_spec(SchemeKind::kFt2, cfg)}) {
+      t1.cell(spec.covers(kind) ? "x" : "");
     }
   }
   t1.print(std::cout);

@@ -40,12 +40,14 @@ int main() {
   Table table({"scheme", "SDC", "masked (identical)", "masked (semantic)",
                "SDC rate", "95% CI margin"});
   double none_rate = 0.0;
+  double ft2_rate = 0.0;
   // Enumerate the scheme registry: any newly registered detector (checksum,
   // adaptive, custom) joins the study without touching this loop.
   for (const std::string& name : all_scheme_names()) {
     const SchemeRef ref{name, {}};
     const auto result = run_campaign(*model, inputs, ref, bounds, config);
     if (name == "none") none_rate = result.sdc_rate();
+    if (name == "ft2") ft2_rate = result.sdc_rate();
     table.begin_row()
         .cell(name)
         .count(result.sdc)
@@ -56,11 +58,9 @@ int main() {
   }
   table.print(std::cout);
 
-  const auto ft2 = run_campaign(*model, inputs, SchemeKind::kFt2, bounds,
-                                config);
   if (none_rate > 0.0) {
     std::cout << "\nFT2 SDC-rate reduction vs unprotected: "
-              << Table::format_pct(1.0 - ft2.sdc_rate() / none_rate, 1)
+              << Table::format_pct(1.0 - ft2_rate / none_rate, 1)
               << " — with no offline profiling at all.\n";
   }
   return 0;

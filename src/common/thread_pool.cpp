@@ -10,8 +10,6 @@ namespace {
 thread_local bool tl_on_worker_thread = false;
 }  // namespace
 
-bool ThreadPool::on_worker_thread() { return tl_on_worker_thread; }
-
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = std::thread::hardware_concurrency();
   if (threads <= 1) return;  // inline-execution mode
@@ -31,10 +29,6 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  if (workers_.empty()) {
-    task();
-    return;
-  }
   {
     std::lock_guard lock(mutex_);
     tasks_.push(std::move(task));

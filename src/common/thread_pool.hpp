@@ -26,10 +26,6 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Enqueue a task; fire-and-forget (synchronize via parallel_for or your
-  /// own latch).
-  void submit(std::function<void()> task);
-
   /// Runs fn(i) for i in [begin, end), blocking until all iterations finish.
   /// Work is split into contiguous chunks, one per worker. Exceptions inside
   /// fn propagate to the caller (first one wins). Safe to call from inside a
@@ -39,13 +35,12 @@ class ThreadPool {
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
 
-  /// True when the calling thread is a worker of any ThreadPool.
-  static bool on_worker_thread();
-
   /// Process-wide default pool (size from FT2_THREADS env or hardware).
   static ThreadPool& global();
 
  private:
+  /// Enqueues one of parallel_for's chunks (only called with workers).
+  void submit(std::function<void()> task);
   void worker_loop();
 
   std::vector<std::thread> workers_;

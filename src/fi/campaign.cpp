@@ -144,7 +144,7 @@ CampaignResult run_campaign_range(const TransformerLM& model,
                                   std::size_t last_trial,
                                   const TrialCallback& on_trial) {
   return run_campaign_range_impl(
-      model, inputs, spec_display_name(scheme),
+      model, inputs, scheme.name,
       [&] {
         return std::make_unique<RangeRestrictScheme>(model.config(), scheme,
                                                      offline_bounds);
@@ -203,7 +203,7 @@ CampaignResult run_campaign_range_impl(
   // the trial-identical generation (protection hook attached, no fault)
   // with its KV rows, online bounds and per-boundary hook state captured —
   // so decode-phase trials fork from it instead of replaying the prefix.
-  // The recording hook publishes NO metrics; each forked trial re-publishes
+  // The recording hooks publish NO metrics; each forked trial re-publishes
   // the skipped prefix's protect.* increments on restore, and the skipped
   // suffix's when it rejoins the recording, keeping registry totals
   // bit-identical to full replay. With first_token_only every fault lands
@@ -215,6 +215,10 @@ CampaignResult run_campaign_range_impl(
     /// recording corrected anything (-1: none) — the first-detect position
     /// of a suffix replayed from b.
     std::vector<long long> detect_after;
+    /// With drift_monitor: the recording's headroom samples in dispatch
+    /// order, and how many of them precede each token boundary.
+    std::vector<HeadroomSample> headroom;
+    std::vector<std::size_t> headroom_at;
   };
   std::vector<PrefixRecording> recordings;
   const bool reuse =
@@ -228,12 +232,23 @@ CampaignResult run_campaign_range_impl(
       PrefixRecording& rec = recordings[i];
       ProtectionHook protection(model.config(), make_scheme(), ObsSinks{});
       protection.set_clip_capture(true);
+      MetricsRegistry unpublished;  // the recording's monitor only logs
+      std::optional<BoundDriftMonitor> drift;
+      if (config.drift_monitor) {
+        drift.emplace(protection,
+                      DriftMonitorOptions{0.10, {&unpublished, nullptr}});
+        drift->set_sample_log(&rec.headroom);
+      }
       InferenceSession session(model);
-      const HookRegistration reg = session.hooks().add(protection);
+      std::vector<HookRegistration> regs;
+      regs.push_back(session.hooks().add(protection));
+      if (drift.has_value()) regs.push_back(session.hooks().add(*drift));
       rec.hook_at.reserve(config.gen_tokens);
       session.generate_recorded(
-          inputs[i].prompt, trial_options, rec.snap,
-          [&](std::size_t) { rec.hook_at.push_back(protection.capture_state()); });
+          inputs[i].prompt, trial_options, rec.snap, [&](std::size_t) {
+            rec.hook_at.push_back(protection.capture_state());
+            rec.headroom_at.push_back(rec.headroom.size());
+          });
       // The forward between boundaries b and b + 1 runs at position
       // prompt_len + b.
       rec.detect_after.assign(rec.hook_at.size(), -1);
@@ -353,9 +368,9 @@ CampaignResult run_campaign_range_impl(
     // A fault masked within its own steps leaves the trial's K/V rows,
     // tokens and scheme state equal to the recording's, so the rest of the
     // run is the recording's: the session takes its suffix and the
-    // protection hook replays the suffix's dispatches. The drift monitor,
-    // like any observer, sees only the dispatches the trial runs itself,
-    // as with the skipped prefix.
+    // protection hook replays the suffix's dispatches. The drift monitor
+    // replays the recording's headroom samples for the skipped prefix and
+    // suffix, so its histograms match a full run's bit for bit.
     GenerateResult result;
     bool forked = false;
     if (reuse) {
@@ -367,17 +382,26 @@ CampaignResult run_campaign_range_impl(
       if (rec.snap.valid() && first_pos >= rec.snap.prompt_len) {
         const std::size_t fork_pos =
             std::min(first_pos, rec.snap.last_boundary());
+        const std::span<const HeadroomSample> headroom(rec.headroom);
         const auto rejoined = [&](std::size_t b) {
           for (const auto& injector : injectors) {
             if (!injector.fired()) return false;
           }
-          return protection.scheme().state_matches(rec.hook_at[b].scheme.get());
+          const bool same =
+              protection.scheme().state_matches(rec.hook_at[b].scheme.get());
+          // A yes ends the run: replay the suffix now, before the monitor's
+          // generation end flushes its counts.
+          if (same && drift) {
+            drift->replay(headroom.subspan(rec.headroom_at[b]));
+          }
+          return same;
         };
         result = session.resume_from(
             rec.snap, fork_pos,
             [&] {
-              protection.restore_state(
-                  rec.hook_at[fork_pos - rec.snap.prompt_len]);
+              const std::size_t b = fork_pos - rec.snap.prompt_len;
+              protection.restore_state(rec.hook_at[b]);
+              if (drift) drift->replay(headroom.first(rec.headroom_at[b]));
             },
             rejoined);
         forked = true;
@@ -461,15 +485,6 @@ CampaignResult run_campaign_range_impl(
 }
 
 }  // namespace
-
-CampaignResult run_campaign(const TransformerLM& model,
-                            const std::vector<EvalInput>& inputs,
-                            SchemeKind scheme, const BoundStore& offline_bounds,
-                            const CampaignConfig& config,
-                            const TrialCallback& on_trial) {
-  return run_campaign(model, inputs, scheme_spec(scheme, model.config()),
-                      offline_bounds, config, on_trial);
-}
 
 double fault_free_correct_fraction(const TransformerLM& model,
                                    const std::vector<EvalInput>& inputs,

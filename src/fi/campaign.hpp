@@ -86,9 +86,9 @@ struct CampaignConfig {
   /// Attach a BoundDriftMonitor behind each trial's protection hook,
   /// publishing protect.headroom.* to the campaign registry. Strictly
   /// observational: outcomes, detections and protect.* counters are
-  /// bit-identical with the monitor on or off. With prefix_reuse it sees
-  /// only the dispatches a trial runs itself (not a skipped prefix or
-  /// suffix).
+  /// bit-identical with the monitor on or off. With prefix_reuse each
+  /// trial's monitor replays the recording's samples for the skipped
+  /// prefix and suffix, so the histograms match full replay.
   bool drift_monitor = false;
 };
 
@@ -192,7 +192,7 @@ struct TrialRecord {
 using TrialCallback = std::function<void(const TrialRecord&)>;
 
 /// Runs the campaign for one protection scheme. `offline_bounds` may be an
-/// empty store for schemes that do not need it (kNone / FT2-online).
+/// empty store for schemes that do not need it (none / ft2).
 CampaignResult run_campaign(const TransformerLM& model,
                             const std::vector<EvalInput>& inputs,
                             const SchemeSpec& scheme,
@@ -213,13 +213,6 @@ CampaignResult run_campaign_range(const TransformerLM& model,
                                   std::size_t first_trial,
                                   std::size_t last_trial,
                                   const TrialCallback& on_trial = {});
-
-/// Convenience: scheme resolved from its kind.
-CampaignResult run_campaign(const TransformerLM& model,
-                            const std::vector<EvalInput>& inputs,
-                            SchemeKind scheme, const BoundStore& offline_bounds,
-                            const CampaignConfig& config,
-                            const TrialCallback& on_trial = {});
 
 /// Registry path: every trial instantiates `scheme` through its registered
 /// factory (so any DetectionScheme — checksum, adaptive, custom — runs the

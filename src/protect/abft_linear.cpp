@@ -39,7 +39,6 @@ double row_sum(std::span<const float> row) {
 
 SchemeSpec abft_spec(const ModelConfig& config, const AbftLinearOptions& options) {
   SchemeSpec spec;
-  spec.kind = SchemeKind::kNone;  // not part of the legacy enum family
   spec.name = "abft-linear";
   for (std::size_t k = 0; k < kLayerKindCount; ++k) {
     const LayerKind kind = static_cast<LayerKind>(k);

@@ -34,8 +34,7 @@ RangeRestrictScheme::RangeRestrictScheme(const ModelConfig& config,
       offline_bounds_(std::move(offline_bounds)),
       online_bounds_(config) {
   FT2_CHECK_MSG(!spec_.needs_offline_bounds || !offline_bounds_.empty(),
-                "scheme " << spec_display_name(spec_)
-                          << " requires offline bounds");
+                "scheme " << spec_.name << " requires offline bounds");
   if (offline_bounds_.empty()) {
     // Invalid (never-observed) bounds: range_restrict degrades to NaN-only
     // correction, which is what bound-less protection can still do.
@@ -203,16 +202,18 @@ void require_known_params(const SchemeParams& params,
 
 namespace {
 
-SchemeInfo range_scheme_info(SchemeKind kind, std::string summary,
-                             bool needs_offline_bounds) {
+/// Registry entry for one Table-1 scheme. Its name and bound source come
+/// from scheme_spec; neither depends on the architecture.
+SchemeInfo range_scheme_info(SchemeKind kind, std::string summary) {
+  const SchemeSpec base = scheme_spec(kind, ModelConfig{});
   SchemeInfo info;
-  info.name = scheme_name(kind);
+  info.name = base.name;
   info.summary = std::move(summary);
-  info.needs_offline_bounds = needs_offline_bounds;
+  info.needs_offline_bounds = base.needs_offline_bounds;
   info.make = [kind](const ModelConfig& config, const SchemeParams& params,
                      BoundStore offline) -> std::unique_ptr<DetectionScheme> {
-    require_known_params(params, {"scale", "detect_only"}, scheme_name(kind));
     SchemeSpec spec = scheme_spec(kind, config);
+    require_known_params(params, {"scale", "detect_only"}, spec.name);
     spec.bound_scale =
         scheme_param_float(params, "scale", spec.bound_scale, spec.name);
     spec.detect_only =
@@ -227,23 +228,20 @@ SchemeInfo range_scheme_info(SchemeKind kind, std::string summary,
 
 SchemeRegistry::SchemeRegistry() {
   add(range_scheme_info(SchemeKind::kNone,
-                        "no protection (fault-impact baseline)", false));
+                        "no protection (fault-impact baseline)"));
   add(range_scheme_info(
       SchemeKind::kRanger,
-      "offline bounds on activation outputs, clip-to-zero, no NaN fix", true));
+      "offline bounds on activation outputs, clip-to-zero, no NaN fix"));
   add(range_scheme_info(
       SchemeKind::kMaxiMals,
-      "offline bounds on attention/MLP outputs, clip-to-zero x1.25", true));
-  add(range_scheme_info(
-      SchemeKind::kGlobalClipper,
-      "offline bounds on V_PROJ/OUT_PROJ, clip-to-zero", true));
+      "offline bounds on attention/MLP outputs, clip-to-zero x1.25"));
+  add(range_scheme_info(SchemeKind::kGlobalClipper,
+                        "offline bounds on V_PROJ/OUT_PROJ, clip-to-zero"));
   add(range_scheme_info(
       SchemeKind::kFt2,
-      "online first-token bounds on critical layers, clip-to-bound x2",
-      false));
-  add(range_scheme_info(
-      SchemeKind::kFt2Offline,
-      "FT2 coverage/policy with offline-profiled bounds", true));
+      "online first-token bounds on critical layers, clip-to-bound x2"));
+  add(range_scheme_info(SchemeKind::kFt2Offline,
+                        "FT2 coverage/policy with offline-profiled bounds"));
   {
     SchemeInfo info;
     info.name = "abft-linear";

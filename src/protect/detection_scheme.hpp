@@ -226,9 +226,8 @@ class SchemeRegistry {
 };
 
 /// Names of every registered scheme, in registration order (built-ins
-/// first). Replaces the old hard-coded all_schemes() enum list: CLI help
-/// and zoo loops enumerate the registry, so new schemes appear everywhere
-/// automatically.
+/// first). CLI help and zoo loops enumerate the registry, so new schemes
+/// appear everywhere automatically.
 std::vector<std::string> all_scheme_names();
 
 /// A parsed scheme reference: registry name plus parameters.

@@ -102,8 +102,18 @@ void BoundDriftMonitor::on_output(const HookContext& ctx,
                                 static_cast<double>(enforced.lo));
   }
 
-  const double headroom = std::max(0.0, 1.0 - usage);
-  std::vector<std::uint64_t>& local = local_counts_[kind];
+  count(ctx.site.kind, std::max(0.0, 1.0 - usage));
+}
+
+void BoundDriftMonitor::replay(std::span<const HeadroomSample> samples) {
+  for (const HeadroomSample& sample : samples) {
+    count(sample.kind, sample.headroom);
+  }
+}
+
+void BoundDriftMonitor::count(LayerKind kind, double headroom) {
+  const std::size_t k = static_cast<std::size_t>(kind);
+  std::vector<std::uint64_t>& local = local_counts_[k];
   if (!local.empty()) {
     // Same "le" bucketing HistogramCell::add applies; headroom <= 1 means
     // the overflow slot stays empty, but keep it for shape parity.
@@ -112,10 +122,11 @@ void BoundDriftMonitor::on_output(const HookContext& ctx,
                          headroom) -
         headroom_uppers_.begin());
     ++local[bucket];
-    local_sums_[kind] += headroom;
+    local_sums_[k] += headroom;
   }
   ++total_dispatches_;
   if (headroom <= options_.near_clip_threshold) ++near_clip_dispatches_;
+  if (sample_log_ != nullptr) sample_log_->push_back({kind, headroom});
 }
 
 }  // namespace ft2

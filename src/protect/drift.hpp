@@ -18,6 +18,8 @@
 
 #include <array>
 #include <cstddef>
+#include <span>
+#include <vector>
 
 #include "nn/hooks.hpp"
 #include "obs/metrics.hpp"
@@ -39,6 +41,12 @@ struct DriftMonitorOptions {
 
 /// Histogram buckets for bound-usage headroom in [0, 1].
 std::vector<double> headroom_buckets();
+
+/// One monitored dispatch: its layer kind and the headroom it left.
+struct HeadroomSample {
+  LayerKind kind = LayerKind::kQProj;
+  double headroom = 0.0;
+};
 
 class BoundDriftMonitor : public OutputHook {
  public:
@@ -72,7 +80,19 @@ class BoundDriftMonitor : public OutputHook {
   /// threshold of a bound (0 when nothing was monitored yet).
   double near_clip_fraction() const;
 
+  /// Appends every monitored dispatch's sample to `log` in dispatch order
+  /// (null, the default: off). A campaign's fault-free recording keeps them.
+  void set_sample_log(std::vector<HeadroomSample>* log) { sample_log_ = log; }
+
+  /// Counts recorded samples, in order, exactly as if this monitor had seen
+  /// their dispatches (observed() aside). A forked campaign trial replays
+  /// the recording's skipped prefix and suffix this way.
+  void replay(std::span<const HeadroomSample> samples);
+
  private:
+  /// Counts one dispatch's headroom (on_output and replay share it).
+  void count(LayerKind kind, double headroom);
+
   const ProtectionHook& protection_;
   DriftMonitorOptions options_;
   std::array<bool, kLayerKindCount> covered_mask_{};
@@ -87,6 +107,7 @@ class BoundDriftMonitor : public OutputHook {
   std::vector<double> headroom_uppers_;
   std::array<std::vector<std::uint64_t>, kLayerKindCount> local_counts_{};
   std::array<double, kLayerKindCount> local_sums_{};
+  std::vector<HeadroomSample>* sample_log_ = nullptr;
 };
 
 }  // namespace ft2

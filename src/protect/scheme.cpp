@@ -15,8 +15,6 @@ bool SchemeSpec::covers(LayerKind k) const {
 
 SchemeSpec scheme_spec(SchemeKind kind, const ModelConfig& config) {
   SchemeSpec spec;
-  spec.kind = kind;
-  spec.name = scheme_name(kind);
   auto keep_present = [&config](std::vector<LayerKind> kinds) {
     std::vector<LayerKind> out;
     for (LayerKind k : kinds) {
@@ -27,14 +25,17 @@ SchemeSpec scheme_spec(SchemeKind kind, const ModelConfig& config) {
 
   switch (kind) {
     case SchemeKind::kNone:
+      spec.name = "none";
       break;
     case SchemeKind::kRanger:
+      spec.name = "ranger";
       spec.covered = {LayerKind::kMlpAct};
       spec.policy = ClipPolicy::kToZero;
       spec.correct_nan = false;
       spec.needs_offline_bounds = true;
       break;
     case SchemeKind::kMaxiMals:
+      spec.name = "maximals";
       spec.covered = keep_present(
           {LayerKind::kOutProj, LayerKind::kFc2, LayerKind::kDownProj});
       spec.policy = ClipPolicy::kToZero;
@@ -43,12 +44,14 @@ SchemeSpec scheme_spec(SchemeKind kind, const ModelConfig& config) {
       spec.needs_offline_bounds = true;
       break;
     case SchemeKind::kGlobalClipper:
+      spec.name = "global_clipper";
       spec.covered = {LayerKind::kVProj, LayerKind::kOutProj};
       spec.policy = ClipPolicy::kToZero;
       spec.correct_nan = true;
       spec.needs_offline_bounds = true;
       break;
     case SchemeKind::kFt2:
+      spec.name = "ft2";
       spec.covered = critical_layers(config);
       spec.policy = ClipPolicy::kToBound;
       spec.correct_nan = true;
@@ -56,6 +59,7 @@ SchemeSpec scheme_spec(SchemeKind kind, const ModelConfig& config) {
       spec.online = true;
       break;
     case SchemeKind::kFt2Offline:
+      spec.name = "ft2_offline";
       spec.covered = critical_layers(config);
       spec.policy = ClipPolicy::kToBound;
       spec.correct_nan = true;
@@ -63,10 +67,6 @@ SchemeSpec scheme_spec(SchemeKind kind, const ModelConfig& config) {
       break;
   }
   return spec;
-}
-
-std::string spec_display_name(const SchemeSpec& spec) {
-  return spec.name.empty() ? scheme_name(spec.kind) : spec.name;
 }
 
 ProtectionHook::ProtectionHook(const ModelConfig& config,

@@ -11,18 +11,9 @@
 //    accounting, generation lifecycle, and capture/restore of the whole
 //    bundle for prefix-reuse campaigns.
 //
-// Coverage of the built-in range-restriction schemes follows the paper's
-// Table 1:
-//   Ranger         — activation-layer outputs only, clip-to-zero, no NaN fix.
-//   MaxiMals       — attention-block and MLP outputs (OUT_PROJ, FC2,
-//                    DOWN_PROJ), clip-to-zero, NaN fix, mild bound scaling.
-//   Global Clipper — attention linear outputs V_PROJ and OUT_PROJ,
-//                    clip-to-zero, NaN fix.
-//   FT2            — all critical layers from the architectural heuristic,
-//                    clip-to-BOUND, NaN fix, online first-token bounds x2.
-//   FT2-Offline    — FT2 coverage/policy with offline-profiled bounds
-//                    (the take-away #7 ablation).
-// All baselines require offline-profiled bounds; only FT2 is online-only.
+// The built-in range-restriction family (the paper's Table 1: Ranger,
+// MaxiMals, Global Clipper, FT2, FT2-Offline) is defined in one place,
+// scheme_spec(); the registry builds its entries for the family from it.
 #pragma once
 
 #include <array>
@@ -81,11 +72,10 @@ struct ProtectionState {
   }
 };
 
-/// The built-in range-restriction scheme family (the paper's Table 1).
-/// This enum only enumerates that family; the full scheme zoo — including
-/// checksum and adaptive detectors — lives in the string-keyed registry
-/// (protect/detection_scheme.hpp), which is what CLI and campaign paths
-/// resolve names against.
+/// Selects one of the Table-1 schemes for scheme_spec(). A scheme's only
+/// name is the one it is registered under (SchemeSpec::name,
+/// SchemeRef::display()); callers that pick a scheme by name go through the
+/// registry (protect/detection_scheme.hpp).
 enum class SchemeKind {
   kNone = 0,
   kRanger,
@@ -95,24 +85,10 @@ enum class SchemeKind {
   kFt2Offline,
 };
 
-constexpr const char* scheme_name(SchemeKind kind) {
-  switch (kind) {
-    case SchemeKind::kNone: return "none";
-    case SchemeKind::kRanger: return "ranger";
-    case SchemeKind::kMaxiMals: return "maximals";
-    case SchemeKind::kGlobalClipper: return "global_clipper";
-    case SchemeKind::kFt2: return "ft2";
-    case SchemeKind::kFt2Offline: return "ft2_offline";
-  }
-  return "unknown";
-}
-
 /// Resolved protection parameters for one scheme on one architecture.
 struct SchemeSpec {
-  SchemeKind kind = SchemeKind::kNone;
-  /// Registry/display name ("ft2", "abft-linear", ...). scheme_spec() fills
-  /// it from the kind; schemes built by the registry carry their registered
-  /// name. Threaded into TrialRecord::scheme by campaigns.
+  /// Registry/display name ("ft2", "abft-linear", ...). Threaded into
+  /// TrialRecord::scheme by campaigns.
   std::string name;
   std::vector<LayerKind> covered;  ///< protected layer kinds
   ClipPolicy policy = ClipPolicy::kToZero;
@@ -125,12 +101,9 @@ struct SchemeSpec {
   bool covers(LayerKind k) const;
 };
 
-/// Coverage/policy of `kind` for the given architecture.
+/// Coverage/policy of `kind` for the given architecture, named as the
+/// registry names it.
 SchemeSpec scheme_spec(SchemeKind kind, const ModelConfig& config);
-
-/// Display name of a spec for records and tables: the registered name when
-/// set, otherwise the legacy enum name.
-std::string spec_display_name(const SchemeSpec& spec);
 
 /// The protection hook: drives a DetectionScheme during generation.
 ///

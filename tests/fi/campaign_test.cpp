@@ -101,9 +101,9 @@ TEST(Campaign, NotInjectedWhenFaultSiteBeyondDecodeHorizon) {
   config.fault_model = FaultModel::kExponentBit;
 
   std::vector<TrialRecord> trace;
-  const auto result =
-      run_campaign(model, inputs, SchemeKind::kNone, BoundStore{}, config,
-                   [&](const TrialRecord& r) { trace.push_back(r); });
+  const auto result = run_campaign(
+      model, inputs, SchemeRef::parse("none"), BoundStore{}, config,
+      [&](const TrialRecord& r) { trace.push_back(r); });
   EXPECT_GT(result.not_injected, 0u);
   std::size_t seen = 0;
   for (const TrialRecord& r : trace) {
@@ -141,10 +141,10 @@ TEST(Campaign, RunIsReproducibleAndCountsAddUp) {
   config.seed = 5;
   config.fault_model = FaultModel::kExponentBit;
 
-  const auto a = run_campaign(model, inputs, SchemeKind::kNone, BoundStore{},
-                              config);
-  const auto b = run_campaign(model, inputs, SchemeKind::kNone, BoundStore{},
-                              config);
+  const auto a = run_campaign(model, inputs, SchemeRef::parse("none"),
+                              BoundStore{}, config);
+  const auto b = run_campaign(model, inputs, SchemeRef::parse("none"),
+                              BoundStore{}, config);
   EXPECT_EQ(a.trials, 60u);
   EXPECT_EQ(a.sdc, b.sdc);
   EXPECT_EQ(a.masked_identical, b.masked_identical);
@@ -163,10 +163,10 @@ TEST(Campaign, DifferentSeedsGiveDifferentFaults) {
   c1.fault_model = c2.fault_model = FaultModel::kExponentBit;
   c1.seed = 1;
   c2.seed = 2;
-  const auto a = run_campaign(model, inputs, SchemeKind::kNone, BoundStore{},
-                              c1);
-  const auto b = run_campaign(model, inputs, SchemeKind::kNone, BoundStore{},
-                              c2);
+  const auto a = run_campaign(model, inputs, SchemeRef::parse("none"),
+                              BoundStore{}, c1);
+  const auto b = run_campaign(model, inputs, SchemeRef::parse("none"),
+                              BoundStore{}, c2);
   // Outcome distributions rarely coincide exactly with 80 random faults.
   EXPECT_TRUE(a.masked_identical != b.masked_identical || a.sdc != b.sdc ||
               a.masked_semantic != b.masked_semantic);
@@ -192,8 +192,8 @@ TEST(Campaign, ResultMergeAndCi) {
 TEST(Campaign, EmptyInputsThrow) {
   const TransformerLM model = micro_model();
   CampaignConfig config;
-  EXPECT_THROW(run_campaign(model, {}, SchemeKind::kNone, BoundStore{},
-                            config),
+  EXPECT_THROW(run_campaign(model, {}, SchemeRef::parse("none"),
+                            BoundStore{}, config),
                Error);
 }
 
@@ -207,7 +207,7 @@ TEST(Campaign, MaskedIdenticalWhenFaultIsHarmless) {
   config.trials_per_input = 60;
   config.gen_tokens = 6;
   config.fault_model = FaultModel::kSingleBit;
-  const auto result = run_campaign(model, inputs, SchemeKind::kNone,
+  const auto result = run_campaign(model, inputs, SchemeRef::parse("none"),
                                    BoundStore{}, config);
   EXPECT_GT(result.masked_identical, 0u);
 }

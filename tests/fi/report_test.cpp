@@ -58,8 +58,8 @@ CampaignRun small_campaign(bool capture_clips = true) {
   config.fault_model = FaultModel::kDoubleBit;
   config.capture_clips = capture_clips;
   CampaignRun run;
-  run.result = run_campaign(model, inputs, SchemeKind::kFt2, BoundStore{},
-                            config, run.trace.callback());
+  run.result = run_campaign(model, inputs, SchemeRef::parse("ft2"),
+                            BoundStore{}, config, run.trace.callback());
   return run;
 }
 

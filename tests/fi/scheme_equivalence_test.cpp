@@ -8,7 +8,9 @@
 //   * campaign.* / protect.* counters and protect.* histogram buckets,
 //   * a per-token-boundary capture_state digest of a fault-free recorded
 //     generation plus the final online bounds (%.9g round-trips floats),
-// across prefix-reuse off AND on (reuse is documented bit-identical).
+// across prefix-reuse off AND on (reuse is documented bit-identical), and
+// through both campaign entry points: the SchemeSpec overload and the
+// registry path (SchemeRef) that `ft2 campaign --scheme` runs.
 //
 // Regenerate after an intentional format/behaviour change with
 //   FT2_UPDATE_FIXTURES=1 ./build/tests/ft2_tests \
@@ -110,9 +112,11 @@ struct FreshRun {
   Json metrics;
 };
 
+/// `scheme` is a SchemeSpec or a SchemeRef (the two run_campaign paths).
+template <typename Scheme>
 FreshRun run_campaign_fresh(const TransformerLM& model,
                             const std::vector<EvalInput>& inputs,
-                            const SchemeSpec& spec, const BoundStore& offline,
+                            const Scheme& scheme, const BoundStore& offline,
                             bool prefix_reuse) {
   CampaignConfig config;
   config.fault_model = FaultModel::kExponentBit;
@@ -127,7 +131,7 @@ FreshRun run_campaign_fresh(const TransformerLM& model,
   config.prefix_reuse = prefix_reuse;
 
   TraceCollector collector;
-  run_campaign(model, inputs, spec, offline, config, collector.callback());
+  run_campaign(model, inputs, scheme, offline, config, collector.callback());
 
   FreshRun out;
   out.records = collector.records();
@@ -222,13 +226,23 @@ std::string records_digest(std::vector<TrialRecord> records) {
   return out;
 }
 
+void expect_same_spec(const SchemeSpec& a, const SchemeSpec& b) {
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.covered, b.covered);
+  EXPECT_EQ(a.policy, b.policy);
+  EXPECT_EQ(a.correct_nan, b.correct_nan);
+  EXPECT_EQ(a.bound_scale, b.bound_scale);
+  EXPECT_EQ(a.online, b.online);
+  EXPECT_EQ(a.needs_offline_bounds, b.needs_offline_bounds);
+  EXPECT_EQ(a.detect_only, b.detect_only);
+}
+
 void check_scheme(const std::string& model_name, const TransformerLM& model,
                   const std::vector<EvalInput>& inputs,
-                  const BoundStore& offline, SchemeKind kind) {
-  SCOPED_TRACE(model_name + "/" + scheme_name(kind));
-  const SchemeSpec spec = scheme_spec(kind, model.config());
-  const std::string base = std::string(kFixtureDir) + "/" + model_name + "_" +
-                           scheme_name(kind);
+                  const BoundStore& offline, const SchemeSpec& spec) {
+  SCOPED_TRACE(model_name + "/" + spec.name);
+  const std::string base =
+      std::string(kFixtureDir) + "/" + model_name + "_" + spec.name;
 
   const FreshRun off = run_campaign_fresh(model, inputs, spec, offline,
                                           /*prefix_reuse=*/false);
@@ -248,33 +262,48 @@ void check_scheme(const std::string& model_name, const TransformerLM& model,
     return;
   }
 
-  // Per-trial records, field by field (scheme/trial_ms normalized away —
-  // the fixtures predate both fields).
   const std::string fixture_jsonl = read_file(base + ".records.jsonl");
   std::istringstream lines(fixture_jsonl);
   const std::vector<TrialRecord> expected = read_trial_records_jsonl(lines);
-  ASSERT_EQ(off.records.size(), expected.size());
-  EXPECT_EQ(records_digest(off.records), records_digest(expected));
-
-  // Counters + protect.* histograms.
   const Json expected_metrics = Json::parse(read_file(base + ".metrics.json"));
-  EXPECT_EQ(off.metrics.dump(1), expected_metrics.dump(1));
 
   // capture_state digest + final online bounds.
   const Json expected_state = Json::parse(read_file(base + ".state.json"));
   EXPECT_EQ(state.dump(1), expected_state.dump(1));
 
-  // Prefix reuse is documented bit-identical: same records, same protect.*
-  // metrics; only the campaign.prefix.* throughput counters may differ.
-  const FreshRun on = run_campaign_fresh(model, inputs, spec, offline,
-                                         /*prefix_reuse=*/true);
-  EXPECT_EQ(records_digest(on.records), records_digest(expected));
-  Json on_counters = filter_prefix_counters(on.metrics.at("counters"));
-  Json expected_counters =
-      filter_prefix_counters(expected_metrics.at("counters"));
-  EXPECT_EQ(on_counters.dump(1), expected_counters.dump(1));
-  EXPECT_EQ(on.metrics.at("protect_histograms").dump(1),
-            expected_metrics.at("protect_histograms").dump(1));
+  // The registry entry is the same scheme as scheme_spec's.
+  const SchemeRef ref = SchemeRef::parse(spec.name);
+  expect_same_spec(ref.instantiate(model.config(), offline)->spec(), spec);
+
+  const auto expect_fixture = [&](const FreshRun& run, bool prefix_reuse,
+                                  const std::string& path) {
+    SCOPED_TRACE(path + (prefix_reuse ? ", prefix reuse" : ""));
+    // Per-trial records, field by field (scheme/trial_ms normalized away —
+    // the fixtures predate both fields).
+    ASSERT_EQ(run.records.size(), expected.size());
+    EXPECT_EQ(records_digest(run.records), records_digest(expected));
+    for (const TrialRecord& r : run.records) EXPECT_EQ(r.scheme, spec.name);
+    if (!prefix_reuse) {
+      // Counters + protect.* histograms.
+      EXPECT_EQ(run.metrics.dump(1), expected_metrics.dump(1));
+      return;
+    }
+    // Prefix reuse is documented bit-identical: same records, same
+    // protect.* metrics; only the campaign.prefix.* throughput counters may
+    // differ.
+    EXPECT_EQ(filter_prefix_counters(run.metrics.at("counters")).dump(1),
+              filter_prefix_counters(expected_metrics.at("counters")).dump(1));
+    EXPECT_EQ(run.metrics.at("protect_histograms").dump(1),
+              expected_metrics.at("protect_histograms").dump(1));
+  };
+  expect_fixture(off, false, "SchemeSpec");
+  expect_fixture(run_campaign_fresh(model, inputs, spec, offline, true), true,
+                 "SchemeSpec");
+  for (const bool prefix_reuse : {false, true}) {
+    expect_fixture(
+        run_campaign_fresh(model, inputs, ref, offline, prefix_reuse),
+        prefix_reuse, "SchemeRef");
+  }
 }
 
 // One sequential test, not a parameterized suite: the recorder drew opt's
@@ -296,11 +325,15 @@ TEST(SchemeEquivalence, LegacySchemesMatchPreRefactorFixtures) {
     prof.max_new_tokens = 6;
     const BoundStore offline = profile_offline_bounds(model, *gen, prof);
 
-    for (SchemeKind kind :
-         {SchemeKind::kNone, SchemeKind::kRanger, SchemeKind::kMaxiMals,
-          SchemeKind::kGlobalClipper, SchemeKind::kFt2,
-          SchemeKind::kFt2Offline}) {
-      check_scheme(model_name, model, inputs, offline, kind);
+    const ModelConfig& cfg = model.config();
+    for (const SchemeSpec& spec :
+         {scheme_spec(SchemeKind::kNone, cfg),
+          scheme_spec(SchemeKind::kRanger, cfg),
+          scheme_spec(SchemeKind::kMaxiMals, cfg),
+          scheme_spec(SchemeKind::kGlobalClipper, cfg),
+          scheme_spec(SchemeKind::kFt2, cfg),
+          scheme_spec(SchemeKind::kFt2Offline, cfg)}) {
+      check_scheme(model_name, model, inputs, offline, spec);
     }
   }
 }

@@ -196,6 +196,10 @@ TEST(SuffixReuse, DriftMonitorKeepsRecordsAndRejoins) {
   config.seed = 5;
   config.capture_clips = true;
   config.drift_monitor = true;
+  // One worker: trials add their headroom sums in the same order with
+  // reuse on and off, so the sums can be compared bit for bit.
+  ThreadPool one_worker(1);
+  config.pool = &one_worker;
   const SchemeRef ft2 = SchemeRef::parse("ft2");
   const Capture off = run(model, inputs, ft2, BoundStore{}, config, false);
   const Capture on = run(model, inputs, ft2, BoundStore{}, config, true);
@@ -203,7 +207,36 @@ TEST(SuffixReuse, DriftMonitorKeepsRecordsAndRejoins) {
   for (std::size_t t = 0; t < off.records.size(); ++t) {
     expect_same_record(off.records[t], on.records[t], "drift");
   }
+  EXPECT_GT(on.metrics.counter_value("campaign.prefix.hit"), 0u);
   EXPECT_GT(on.metrics.counter_value("campaign.prefix.suffix_hit"), 0u);
+  // Forked trials replay the recording's headroom samples for the skipped
+  // prefix and suffix, so every protect.headroom.<KIND> histogram equals
+  // full replay's.
+  const auto headroom_hists = [](const MetricsSnapshot& snap) {
+    std::vector<const MetricsSnapshot::HistogramValue*> out;
+    for (const auto& h : snap.histograms) {
+      if (h.name.rfind("protect.headroom.", 0) == 0) out.push_back(&h);
+    }
+    return out;
+  };
+  const auto off_hists = headroom_hists(off.metrics);
+  ASSERT_FALSE(off_hists.empty());
+  ASSERT_EQ(off_hists.size(), headroom_hists(on.metrics).size());
+  for (const auto* hist : off_hists) {
+    const auto& a = *hist;
+    const auto* match = on.metrics.find_histogram(a.name);
+    ASSERT_NE(match, nullptr) << a.name;
+    const auto& b = *match;
+    EXPECT_GT(a.count, 0u) << a.name;
+    EXPECT_EQ(a.count, b.count) << a.name;
+    EXPECT_EQ(a.counts, b.counts) << a.name;
+    EXPECT_EQ(a.nan_count, b.nan_count) << a.name;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.sum),
+              std::bit_cast<std::uint64_t>(b.sum))
+        << a.name;
+  }
+  expect_protect_metrics_in(off.metrics, on.metrics, "drift");
+  expect_protect_metrics_in(on.metrics, off.metrics, "drift");
 }
 
 /// A fault-free recording of `prompt` under FT2 with per-boundary hook

@@ -138,9 +138,9 @@ TEST(MultiFault, MoreFaultsNeverInjectLess) {
   three.faults_per_trial = 3;
 
   const auto r1 =
-      run_campaign(model, inputs, SchemeKind::kNone, BoundStore{}, one);
-  const auto r3 =
-      run_campaign(model, inputs, SchemeKind::kNone, BoundStore{}, three);
+      run_campaign(model, inputs, SchemeRef::parse("none"), BoundStore{}, one);
+  const auto r3 = run_campaign(model, inputs, SchemeRef::parse("none"),
+                               BoundStore{}, three);
   EXPECT_EQ(r1.trials, r3.trials);
   // With a random-weight model the exact rates are noisy; assert the
   // mechanical property: all trials still classified.

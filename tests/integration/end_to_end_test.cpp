@@ -69,10 +69,10 @@ TEST_F(EndToEnd, Ft2ReducesSdcRate) {
   config.trials_per_input = 60;
   config.gen_tokens = 10;
 
-  const auto none =
-      run_campaign(*model_, inputs, SchemeKind::kNone, BoundStore{}, config);
-  const auto ft2 =
-      run_campaign(*model_, inputs, SchemeKind::kFt2, BoundStore{}, config);
+  const auto none = run_campaign(*model_, inputs, SchemeRef::parse("none"),
+                                 BoundStore{}, config);
+  const auto ft2 = run_campaign(*model_, inputs, SchemeRef::parse("ft2"),
+                                BoundStore{}, config);
 
   // The paper's headline: a large relative SDC reduction. At this trial
   // count we assert a conservative factor-of-2.

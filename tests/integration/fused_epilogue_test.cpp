@@ -51,13 +51,13 @@ std::vector<int> test_prompt() {
   return prompt;
 }
 
-/// Artificially tight bounds at every site of the spec's coverage so a
-/// clean generation clips constantly — the fused kernel's dirty-lane slow
-/// path and event recording get exercised hard, not just the clean path.
-BoundStore tight_bounds(const TransformerLM& model, const SchemeSpec& spec) {
+/// Artificially tight bounds at every site of the model so a clean
+/// generation clips constantly — the fused kernel's dirty-lane slow path
+/// and event recording get exercised hard, not just the clean path.
+BoundStore tight_bounds(const TransformerLM& model) {
   BoundStore bounds(model.config());
   for (std::size_t b = 0; b < model.config().n_blocks; ++b) {
-    for (LayerKind k : spec.covered) {
+    for (LayerKind k : model.config().block_layers()) {
       Bounds& site = bounds.at(LayerSite{static_cast<int>(b), k});
       site.lo = -0.01f;
       site.hi = 0.01f;
@@ -76,16 +76,18 @@ struct ProtectedRun {
   std::size_t online_valid = 0;
 };
 
-ProtectedRun run_protected(const TransformerLM& model, SchemeKind scheme,
-                           bool fused) {
+ProtectedRun run_protected(const TransformerLM& model,
+                           const std::string& scheme_name, bool fused) {
   FusedGuard guard;
   set_fused_epilogue_enabled(fused);
-  const auto spec = scheme_spec(scheme, model.config());
+  const SchemeRef scheme = SchemeRef::parse(scheme_name);
   BoundStore bounds;
-  if (spec.needs_offline_bounds) bounds = tight_bounds(model, spec);
+  if (scheme.needs_offline_bounds()) bounds = tight_bounds(model);
 
   MetricsRegistry metrics;
-  ProtectionHook hook(model.config(), spec, std::move(bounds), &metrics);
+  ProtectionHook hook(model.config(),
+                      scheme.instantiate(model.config(), std::move(bounds)),
+                      ObsSinks{&metrics, nullptr});
   hook.set_clip_capture(true);
 
   InferenceSession session(model);
@@ -137,10 +139,10 @@ void expect_runs_identical(const ProtectedRun& a, const ProtectedRun& b) {
 
 TEST(FusedEpilogue, OfflineProtectedGenerationIdenticalFusedOnOff) {
   const TransformerLM model = micro_model();
-  const ProtectedRun fused = run_protected(model, SchemeKind::kFt2Offline,
-                                           /*fused=*/true);
-  const ProtectedRun hook_path = run_protected(model, SchemeKind::kFt2Offline,
-                                               /*fused=*/false);
+  const ProtectedRun fused =
+      run_protected(model, "ft2_offline", /*fused=*/true);
+  const ProtectedRun hook_path =
+      run_protected(model, "ft2_offline", /*fused=*/false);
   // The tight bounds must actually clip, or this test proves nothing.
   std::size_t total_oob = 0;
   for (const auto& s : fused.kind_stats) total_oob += s.oob_corrected;
@@ -155,10 +157,9 @@ TEST(FusedEpilogue, OnlineFt2GenerationIdenticalFusedOnOff) {
   // protection they drive afterwards, and all accounting must match the
   // hook path exactly.
   const TransformerLM model = micro_model();
-  const ProtectedRun fused = run_protected(model, SchemeKind::kFt2,
-                                           /*fused=*/true);
-  const ProtectedRun hook_path = run_protected(model, SchemeKind::kFt2,
-                                               /*fused=*/false);
+  const ProtectedRun fused = run_protected(model, "ft2", /*fused=*/true);
+  const ProtectedRun hook_path =
+      run_protected(model, "ft2", /*fused=*/false);
   ASSERT_GT(fused.online_valid, 0u) << "first-token phase observed no bounds";
   expect_runs_identical(fused, hook_path);
 }
@@ -171,7 +172,7 @@ TEST(FusedEpilogue, DetectOnlySchemeIdenticalFusedOnOff) {
     set_fused_epilogue_enabled(fused);
     auto spec = scheme_spec(SchemeKind::kFt2Offline, model.config());
     spec.detect_only = true;
-    ProtectionHook hook(model.config(), spec, tight_bounds(model, spec));
+    ProtectionHook hook(model.config(), spec, tight_bounds(model));
     InferenceSession session(model);
     const auto reg = session.hooks().add(hook);
     GenerateOptions opts;
@@ -249,12 +250,12 @@ TEST(FusedEpilogue, TierSwitchKeepsProtectedGenerationIdentical) {
   const TransformerLM model = micro_model();
   FusedGuard guard;
   set_kernel_tier(KernelTier::kSse);
-  const ProtectedRun reference = run_protected(model, SchemeKind::kFt2Offline,
-                                               /*fused=*/false);
+  const ProtectedRun reference =
+      run_protected(model, "ft2_offline", /*fused=*/false);
   for (KernelTier tier : supported_kernel_tiers()) {
     set_kernel_tier(tier);
-    const ProtectedRun fused = run_protected(model, SchemeKind::kFt2Offline,
-                                             /*fused=*/true);
+    const ProtectedRun fused =
+        run_protected(model, "ft2_offline", /*fused=*/true);
     SCOPED_TRACE(kernel_tier_name(tier));
     expect_runs_identical(fused, reference);
   }
@@ -268,7 +269,7 @@ TEST(FusedEpilogue, ModelBuiltBeforeTierSwitchRunsSelectedTier) {
   FusedGuard guard;
   set_kernel_tier(KernelTier::kSse);
   const ProtectedRun reference =
-      run_protected(micro_model(), SchemeKind::kFt2Offline, /*fused=*/false);
+      run_protected(micro_model(), "ft2_offline", /*fused=*/false);
   for (KernelTier build_tier : supported_kernel_tiers()) {
     set_kernel_tier(build_tier);
     const TransformerLM model = micro_model();
@@ -276,7 +277,7 @@ TEST(FusedEpilogue, ModelBuiltBeforeTierSwitchRunsSelectedTier) {
       set_kernel_tier(run_tier);
       ASSERT_EQ(active_kernel_tier(), run_tier);
       const ProtectedRun fused =
-          run_protected(model, SchemeKind::kFt2Offline, /*fused=*/true);
+          run_protected(model, "ft2_offline", /*fused=*/true);
       SCOPED_TRACE(std::string("built under ") + kernel_tier_name(build_tier) +
                    ", run under " + kernel_tier_name(run_tier));
       expect_runs_identical(fused, reference);

@@ -38,10 +38,10 @@ TEST(TrainedZoo, Ft2BeatsUnprotectedOnTrainedModel) {
   config.trials_per_input = 50;
   config.gen_tokens = 10;
 
-  const auto none =
-      run_campaign(*model, inputs, SchemeKind::kNone, BoundStore{}, config);
-  const auto ft2 =
-      run_campaign(*model, inputs, SchemeKind::kFt2, BoundStore{}, config);
+  const auto none = run_campaign(*model, inputs, SchemeRef::parse("none"),
+                                 BoundStore{}, config);
+  const auto ft2 = run_campaign(*model, inputs, SchemeRef::parse("ft2"),
+                                BoundStore{}, config);
   EXPECT_GT(none.sdc, 0u);
   EXPECT_LT(ft2.sdc_rate(), none.sdc_rate())
       << "none=" << none.sdc << " ft2=" << ft2.sdc;
@@ -64,7 +64,7 @@ TEST(TrainedZoo, CriticalLayersDrawMoreSdcThanNonCritical) {
   config.gen_tokens = 10;
 
   TraceCollector trace;
-  run_campaign(*model, inputs, SchemeKind::kNone, BoundStore{}, config,
+  run_campaign(*model, inputs, SchemeRef::parse("none"), BoundStore{}, config,
                trace.callback());
 
   const auto crit = critical_layers(model->config());

@@ -282,7 +282,8 @@ TEST(ForwardSpan, CampaignOutcomesIndependentOfPrefillChunk) {
   base.trials_per_input = 20;
   base.gen_tokens = 6;
   base.seed = 99;
-  for (SchemeKind scheme : {SchemeKind::kNone, SchemeKind::kFt2}) {
+  for (const char* name : {"none", "ft2"}) {
+    const SchemeRef scheme = SchemeRef::parse(name);
     CampaignConfig sequential = base;
     sequential.prefill_chunk = 1;
     CampaignConfig blocked = base;

@@ -128,7 +128,7 @@ TEST(MetricCatalog, LiveWorkloadRegistersOnlyCatalogedNames) {
     config.obs.tracer = &tracer;
     config.drift_monitor = true;
     config.capture_clips = true;
-    run_campaign(model, inputs, SchemeKind::kFt2, BoundStore{}, config);
+    run_campaign(model, inputs, SchemeRef::parse("ft2"), BoundStore{}, config);
   }
 
   const MetricsSnapshot snap = registry.snapshot();

@@ -104,8 +104,8 @@ CampaignArtifacts run_with_drift(bool drift) {
 
   CampaignArtifacts out;
   TraceCollector trace;
-  out.result = run_campaign(model, inputs, SchemeKind::kFt2, BoundStore{},
-                            config, trace.callback());
+  out.result = run_campaign(model, inputs, SchemeRef::parse("ft2"),
+                            BoundStore{}, config, trace.callback());
   // trial_ms is wall time — documented as excluded from determinism
   // comparisons — so zero it before serializing.
   TraceCollector normalized;

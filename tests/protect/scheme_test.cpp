@@ -95,10 +95,16 @@ TEST(SchemeSpec, NoneCoversNothing) {
 }
 
 TEST(SchemeSpec, Names) {
-  EXPECT_STREQ(scheme_name(SchemeKind::kFt2), "ft2");
-  EXPECT_STREQ(scheme_name(SchemeKind::kGlobalClipper), "global_clipper");
-  // The registry supersedes the old fixed enum list: the range family plus
-  // the checksum/adaptive built-ins are all registered by name.
+  // A Table-1 spec carries the name the registry knows it by.
+  const ModelConfig c = opt_config();
+  EXPECT_EQ(scheme_spec(SchemeKind::kNone, c).name, "none");
+  EXPECT_EQ(scheme_spec(SchemeKind::kRanger, c).name, "ranger");
+  EXPECT_EQ(scheme_spec(SchemeKind::kMaxiMals, c).name, "maximals");
+  EXPECT_EQ(scheme_spec(SchemeKind::kGlobalClipper, c).name, "global_clipper");
+  EXPECT_EQ(scheme_spec(SchemeKind::kFt2, c).name, "ft2");
+  EXPECT_EQ(scheme_spec(SchemeKind::kFt2Offline, c).name, "ft2_offline");
+  // The range family plus the checksum/adaptive built-ins are all
+  // registered by name.
   const std::vector<std::string> names = all_scheme_names();
   EXPECT_GE(names.size(), 8u);
   for (const char* expected :
